@@ -17,7 +17,7 @@ meta-compiler, dataplane) naturally aggregate into one surface.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -38,16 +38,26 @@ def quantile(samples, q: float) -> float:
     ``q * (n - 1)``, interpolate between the flanking order statistics.
     Empty input yields 0.0 (mirrors :meth:`Histogram.percentile`).
     """
+    return quantiles(samples, (q,))[0]
+
+
+def quantiles(samples, qs: Sequence[float]) -> List[float]:
+    """:func:`quantile` for each of ``qs``, sorting the samples once."""
     ordered = sorted(samples)
     if not ordered:
-        return 0.0
-    if not 0 <= q <= 1:
-        raise ValueError(f"quantile out of range: {q}")
-    virtual = q * (len(ordered) - 1)
-    lo = int(virtual)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = virtual - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return [0.0 for _ in qs]
+    for q in qs:
+        if not 0 <= q <= 1:
+            raise ValueError(f"quantile out of range: {q}")
+    last = len(ordered) - 1
+    values = []
+    for q in qs:
+        virtual = q * last
+        lo = int(virtual)
+        hi = min(lo + 1, last)
+        frac = virtual - lo
+        values.append(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
+    return values
 
 
 class Counter:

@@ -56,7 +56,7 @@ from repro.exceptions import (
 from repro.hw.spec import topology_for
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import MetaCompiler
-from repro.obs import MetricsRegistry, get_registry, quantile
+from repro.obs import MetricsRegistry, get_registry
 from repro.profiles.defaults import ProfileDatabase, default_profiles
 from repro.sim.faults import PhaseReport
 from repro.sim.measurement import QueueingModel
@@ -65,6 +65,7 @@ from repro.sim.traffic import (
     ChainTrafficReport,
     TrafficEngine,
     configure_rack_queueing,
+    latency_quantiles,
 )
 
 LIFECYCLE_ACTIONS = ("arrive", "scale", "depart")
@@ -638,9 +639,7 @@ class AdmissionCore:
                 dropped=packets_per_chain - delivered,
                 wall_seconds=0.0,
                 assigned_mbps=self.rates.get(cp.name, 0.0),
-                latency_p50_us=quantile(samples, 0.50),
-                latency_p95_us=quantile(samples, 0.95),
-                latency_p99_us=quantile(samples, 0.99),
+                **latency_quantiles(samples),
                 latency_slo_us=0.0 if math.isinf(d_max) else d_max,
             ))
         return phase

@@ -2,16 +2,15 @@
 
 The scalar dataplane moves :class:`~repro.net.packet.Packet` objects one
 attribute at a time; at high volume the Python object walk dominates. A
-:class:`PacketColumns` batch instead keeps **one frozen template packet per
-flow signature** plus numpy arrays for everything that is per-packet: the
-flow signature, injection sequence, cycle charges (total and per device),
-NSH ``(spi, si)`` labels, and per-hop cycle/latency columns. Because every
-packet of a signature is byte-identical, a service-path hop only has to be
-*probed* once per (device, coordinates, template-bytes) — the runtime runs
-one clone through the real platform runtime, records the per-module counter
-deltas and the transformed output template, and then replays the effect
-across the whole column arithmetically (see
-:meth:`repro.sim.runtime.DeployedRack.run_columns`).
+:class:`PacketColumns` batch instead refers to a shared
+:class:`TemplateSet` — one frozen template packet per flow signature —
+plus numpy arrays for everything that is per-packet: the signature id,
+injection sequence, cycle charges (total and per device), NSH
+``(spi, si)`` labels, and per-hop cycle/latency columns. Because every
+packet of a signature is byte-identical, a service-path hop is compiled
+once per (device, coordinates, template set) into a signature-indexed
+hop table, and a warm hop is a handful of numpy gathers over the column
+(see :meth:`repro.sim.runtime.DeployedRack.run_columns`).
 
 Divergent, stateful, or payload-mutating NFs fall back transparently:
 :meth:`materialize_packets` rebuilds real ``Packet`` objects mid-flight and
@@ -58,14 +57,54 @@ class HopColumn:
                          self.cycles[index], self.exec_us[index])
 
 
+class TemplateSet:
+    """A shared, write-once sequence of frozen flow-template packets.
+
+    Signature ``i`` of a :class:`PacketColumns` batch names ``packets[i]``.
+    An entry is written at most once and never mutated, so one set is
+    shared by every batch, slice and compressed view that refers to it —
+    and its identity is a valid cache key. Input sets are built from a
+    caller's flow list; a compiled hop table owns its output set and fills
+    entry ``i`` with the transformed template when signature ``i`` first
+    survives the hop (dropped signatures stay ``None``).
+    """
+
+    __slots__ = ("packets", "dirty", "has_dirty")
+
+    def __init__(self, packets: Sequence[Optional[Packet]]):
+        self.packets: List[Optional[Packet]] = list(packets)
+        #: templates already carrying per-packet charges or a drop flag
+        #: (scalar-path territory; frozen hop outputs never do)
+        self.dirty = np.fromiter(
+            (_precharged(p) for p in self.packets), dtype=bool,
+            count=len(self.packets),
+        )
+        self.has_dirty = bool(self.dirty.any())
+
+    def __len__(self) -> int:
+        return len(self.packets)
+
+    def __getitem__(self, sig: int) -> Packet:
+        return self.packets[sig]
+
+
+def _precharged(packet: Optional[Packet]) -> bool:
+    if packet is None:
+        return False
+    meta = packet.metadata
+    return bool(meta.cycles_consumed or meta.cycles_by_device
+                or meta.drop_flag)
+
+
 class PacketColumns:
     """A batch of packets in structure-of-arrays form.
 
-    ``templates`` maps flow signature -> the *current* frozen template
-    packet for that flow (replaced wholesale as hops transform it; never
-    mutated in place). The arrays are aligned per packet:
+    ``templates`` is the :class:`TemplateSet` the signatures index; a hop
+    swaps in its table's output set wholesale (never mutating a set in
+    place). The arrays are aligned per packet:
 
-    * ``sig``: flow signature of each packet (``int64``)
+    * ``sig``: signature id of each packet, an index into ``templates``
+      (``int64``)
     * ``seq``: rack injection sequence (``int64``; assigned by the rack)
     * ``spi`` / ``si``: current NSH service-path labels (``int64``)
     * ``cycles``: total cycles charged so far (``int64``)
@@ -77,7 +116,7 @@ class PacketColumns:
     __slots__ = ("templates", "sig", "seq", "spi", "si", "cycles",
                  "device_order", "device_cycles", "hops")
 
-    def __init__(self, templates: Dict[int, Packet], sig: np.ndarray,
+    def __init__(self, templates: TemplateSet, sig: np.ndarray,
                  seq: Optional[np.ndarray] = None):
         n = len(sig)
         self.templates = templates
@@ -94,43 +133,20 @@ class PacketColumns:
     @classmethod
     def for_flows(cls, flows: Sequence[Packet],
                   sig: Sequence[int]) -> "PacketColumns":
-        """Batch ``len(sig)`` packets over a flow-template set: packet ``i``
-        is (virtually) a clone of ``flows[sig[i]]``."""
-        templates = {index: packet for index, packet in enumerate(flows)}
-        return cls(templates, np.asarray(sig, dtype=np.int64))
+        """Batch ``len(sig)`` packets over a fresh template set: packet
+        ``i`` is (virtually) a clone of ``flows[sig[i]]``. Callers
+        replaying many batches build one :class:`TemplateSet` and pass it
+        to the constructor instead, so the rack's compiled hop tables are
+        reused across batches."""
+        return cls(TemplateSet(flows), sig)
 
     def __len__(self) -> int:
         return len(self.sig)
 
-    # -- derived columns (gathered from the current templates) -------------
-
-    def _gather(self, fn, dtype) -> np.ndarray:
-        values = {s: fn(t) for s, t in self.templates.items()}
-        return np.asarray([values[int(s)] for s in self.sig], dtype=dtype)
-
-    def lengths(self) -> np.ndarray:
-        """Current wire length of each packet."""
-        return self._gather(len, np.int64)
-
-    def ttls(self) -> np.ndarray:
-        """Current IPv4 TTL of each packet (0 where not IPv4)."""
-        return self._gather(
-            lambda t: t.ipv4.ttl if t.ipv4 is not None else 0, np.int64)
-
-    def flow_digests(self) -> np.ndarray:
-        """CRC32 flow digest of each packet."""
-        return self._gather(lambda t: t.flow_digest(), np.uint64)
-
-    def flow_keys(self) -> np.ndarray:
-        """Packed 13-byte flow keys (empty bytes where not IPv4)."""
-        return self._gather(
-            lambda t: t.flow_key_bytes() or b"", np.dtype("S13"))
-
     # -- restructuring ------------------------------------------------------
 
     def slice(self, start: int, end: int) -> "PacketColumns":
-        """A consecutive sub-block (templates are shared copy-on-write:
-        the dict is copied, the frozen packets are not)."""
+        """A consecutive sub-block (the template set is shared)."""
         return self._rebuild(slice(start, end))
 
     def compress(self, mask: np.ndarray) -> "PacketColumns":
@@ -138,7 +154,7 @@ class PacketColumns:
         return self._rebuild(mask)
 
     def _rebuild(self, index) -> "PacketColumns":
-        out = PacketColumns(dict(self.templates), self.sig[index],
+        out = PacketColumns(self.templates, self.sig[index],
                             self.seq[index])
         out.spi = self.spi[index]
         out.si = self.si[index]

@@ -54,7 +54,11 @@ from repro.obs import MetricsRegistry, get_registry, quantile
 from repro.profiles.defaults import ProfileDatabase, default_profiles
 from repro.sim.measurement import QueueingModel
 from repro.sim.runtime import DeployedRack
-from repro.sim.traffic import ChainTrafficReport, TrafficEngine
+from repro.sim.traffic import (
+    ChainTrafficReport,
+    TrafficEngine,
+    latency_quantiles,
+)
 from repro.units import SLO_RTOL
 
 #: actions a timeline event may carry; ``severity`` means the fraction of
@@ -837,9 +841,7 @@ class ChaosEngine:
                     dropped=injected - delivered,
                     wall_seconds=0.0,
                     assigned_mbps=self.rates.get(name, 0.0),
-                    latency_p50_us=quantile(samples, 0.50),
-                    latency_p95_us=quantile(samples, 0.95),
-                    latency_p99_us=quantile(samples, 0.99),
+                    **latency_quantiles(samples),
                     latency_slo_us=0.0 if math.isinf(d_max) else d_max,
                 ))
             report.phases.append(phase)

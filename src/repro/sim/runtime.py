@@ -16,8 +16,10 @@ aggregates into :class:`~repro.sim.measurement.PacketTraceResult`.
 
 from __future__ import annotations
 
+import random
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,6 +46,7 @@ from repro.sim.columns import (
     ColumnarRunResult,
     HopColumn,
     PacketColumns,
+    TemplateSet,
     _FinishedBlock,
     vector_fault_mask,
 )
@@ -113,8 +116,8 @@ class _HopProbe:
     The columnar dataplane runs a single clone of a flow's template through
     the real platform runtime, then undoes every counter the run charged.
     What remains is this record: the transformed output template, the next
-    service-path coordinates, and the counter deltas to replay — multiplied
-    by however many packets of that signature traverse the hop.
+    service-path coordinates, and one packet's counter deltas — compiled
+    into a row of a :class:`_HopTable`.
     """
 
     survived: bool
@@ -133,6 +136,194 @@ class _HopProbe:
     runtime_deltas: Tuple[int, int, int, int] = (0, 0, 0, 0)
     #: (FlowRule, match-time packet length) pairs the OF pipeline matched
     of_rules: List[tuple] = field(default_factory=list)
+
+
+#: counter attributes a probe's ``module_deltas`` / ``runtime_deltas``
+#: tuples carry, in tuple order
+_MODULE_COUNTERS = ("rx_packets", "tx_packets", "dropped_packets",
+                    "cycles_charged")
+_RUNTIME_COUNTERS = ("rx", "tx", "drops", "cycles_charged")
+
+
+class _HopTable:
+    """One compiled route-program step: a hop's outcome per signature.
+
+    Keyed by (device, spi, si, input :class:`TemplateSet`). Row ``i`` is
+    copied from the :class:`_HopProbe` of signature ``i`` the first time
+    that signature reaches the hop and never changes afterwards: whether
+    it survives, its fixed per-packet cycles, its next service-path
+    coordinates, which RNG-costed modules it reaches (``rng_mask``), and
+    one probe's worth of counter deltas (``deltas``, one column per
+    (object, attribute) counter slot). ``out`` is the output template set
+    — the next hop's table is keyed on it.
+    """
+
+    def __init__(self, size: int, runtime=None):
+        self.out = TemplateSet([None] * size)
+        #: platform runtime whose own rx/tx/drops/cycles the hop charges
+        #: (NIC or OpenFlow; None for servers and PISA switch NFs)
+        self.runtime = runtime
+        self.known = np.zeros(size, dtype=bool)
+        self.survived = np.zeros(size, dtype=bool)
+        self.pkt_cycles = np.zeros(size, dtype=np.int64)
+        self.next_spi = np.zeros(size, dtype=np.int64)
+        self.next_si = np.zeros(size, dtype=np.int64)
+        #: (spi, si) of every surviving row; one entry means no column
+        #: over this table can diverge
+        self.next_coords: set = set()
+        self.slots: List[Tuple[object, str]] = []
+        self._slot_of: Dict[Tuple[int, str], int] = {}
+        self.deltas = np.zeros((size, 0), dtype=np.int64)
+        self.rng_modules: List[object] = []
+        self.rng_mask = np.zeros((size, 0), dtype=bool)
+
+    def fill(self, sigs: List[int], probes: List[_HopProbe]) -> None:
+        """Compile one row per newly seen signature.
+
+        Signatures with the same counter effect (the common case: every
+        flow through a stateless NF touches the same counters by the same
+        amounts) share one decoded delta row.
+        """
+        rows = np.asarray(sigs, dtype=np.intp)
+        self.known[rows] = True
+        self.pkt_cycles[rows] = [probe.pkt_cycles for probe in probes]
+        self.survived[rows] = [probe.survived for probe in probes]
+        self.next_spi[rows] = [probe.next_spi for probe in probes]
+        self.next_si[rows] = [probe.next_si for probe in probes]
+        out = self.out.packets
+        effects: Dict[tuple, Tuple[_HopProbe, List[int]]] = {}
+        for sig, probe in zip(sigs, probes):
+            if probe.survived:
+                out[sig] = probe.template
+                self.next_coords.add((probe.next_spi, probe.next_si))
+            effect = (
+                tuple(probe.module_deltas), probe.runtime_deltas,
+                tuple((id(rule), n) for rule, n in probe.of_rules),
+                tuple(map(id, probe.rng_modules)),
+            )
+            group = effects.get(effect)
+            if group is None:
+                group = effects[effect] = (probe, [])
+            group[1].append(sig)
+        decoded = []
+        for probe, members in effects.values():
+            cells: Dict[int, int] = {}
+            for owner, attr, delta in self._counters(probe):
+                if delta:
+                    slot = self._slot(owner, attr)
+                    cells[slot] = cells.get(slot, 0) + delta
+            columns = []
+            for module in probe.rng_modules:
+                if module not in self.rng_modules:
+                    self.rng_modules.append(module)
+                columns.append(self.rng_modules.index(module))
+            decoded.append((np.asarray(members, dtype=np.intp), cells,
+                            columns))
+        self.deltas = _widen(self.deltas, len(self.slots))
+        self.rng_mask = _widen(self.rng_mask, len(self.rng_modules))
+        for members, cells, columns in decoded:
+            for slot, delta in cells.items():
+                self.deltas[members, slot] = delta
+            for column in columns:
+                self.rng_mask[members, column] = True
+
+    def _counters(self, probe: _HopProbe):
+        """(owner, attribute, delta) for every counter one probe moved."""
+        for module, *deltas in probe.module_deltas:
+            yield from zip((module,) * 4, _MODULE_COUNTERS, deltas)
+        if self.runtime is not None:
+            yield from zip((self.runtime,) * 4, _RUNTIME_COUNTERS,
+                           probe.runtime_deltas)
+        for rule, match_len in probe.of_rules:
+            yield rule, "packets", 1
+            yield rule, "bytes", match_len
+
+    def _slot(self, owner: object, attr: str) -> int:
+        key = (id(owner), attr)
+        slot = self._slot_of.get(key)
+        if slot is None:
+            slot = self._slot_of[key] = len(self.slots)
+            self.slots.append((owner, attr))
+        return slot
+
+    def replay(self, sig: np.ndarray) -> None:
+        """Charge every counter slot its per-signature delta times the
+        signature's multiplicity in the column."""
+        if not self.slots:
+            return
+        totals = np.bincount(sig, minlength=len(self.known)) @ self.deltas
+        for (owner, attr), total in zip(self.slots, totals.tolist()):
+            if total:
+                setattr(owner, attr, getattr(owner, attr) + total)
+
+    def draw_rng(self, sig: np.ndarray) -> np.ndarray:
+        """Per-packet RNG cost draws, replayed in block arrival order.
+
+        Each module's stream must advance exactly as under scalar
+        injection: one ``uniform(low, worst)`` draw per packet that
+        reaches it, in the order the packets arrive. ``low + (worst - low)
+        * r`` with ``r`` pulled from the module's own RNG reproduces
+        ``random.Random.uniform`` bit-for-bit, and the float64 elementwise
+        arithmetic matches the scalar expression exactly.
+        """
+        extra = np.zeros(len(sig), dtype=np.int64)
+        reach = self.rng_mask[sig]
+        for column, module in enumerate(self.rng_modules):
+            members = np.flatnonzero(reach[:, column])
+            if not len(members):
+                continue
+            low, worst = module._cost_bounds()
+            draws = _random_doubles(module._rng, len(members))
+            charged = (low + (worst - low) * draws).astype(np.int64)
+            module.cycles_charged += int(charged.sum())
+            extra[members] += charged
+        return extra
+
+
+def _widen(arr: np.ndarray, columns: int) -> np.ndarray:
+    if arr.shape[1] >= columns:
+        return arr
+    wider = np.zeros((arr.shape[0], columns), dtype=arr.dtype)
+    wider[:, :arr.shape[1]] = arr
+    return wider
+
+
+def _random_doubles(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` successive ``rng.random()`` values from one C call.
+
+    ``random()`` builds each double from two consecutive MT19937 words,
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``; ``getrandbits(64 * count)``
+    emits exactly those ``2 * count`` words, least significant first, and
+    leaves the generator in the same state. Every step of the float64
+    arithmetic below is exact, so the draws are bit-identical.
+    """
+    words = np.frombuffer(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
+        dtype="<u4",
+    )
+    high = (words[0::2] >> 5).astype(np.float64)
+    low = (words[1::2] >> 6).astype(np.float64)
+    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+
+
+class _EntryPaths:
+    """A chain's classified entry per signature of one template set:
+    ``pid[sig]`` indexes ``paths`` (-1 until the signature is first
+    classified)."""
+
+    def __init__(self, chain: NFChain, size: int):
+        self.chain = chain
+        self.pid = np.full(size, -1, dtype=np.int64)
+        self.paths: List[ServicePath] = []
+
+    def assign(self, sig: int, path: ServicePath) -> None:
+        for pid, known in enumerate(self.paths):
+            if known is path:
+                break
+        else:
+            pid = len(self.paths)
+            self.paths.append(path)
+        self.pid[sig] = pid
 
 
 @dataclass
@@ -213,6 +404,14 @@ class DeployedRack:
         #: columnar probe memo: (kind, device, spi, si, template bytes) ->
         #: :class:`_HopProbe`; cleared whenever routing changes.
         self._hop_probes: Dict[tuple, _HopProbe] = {}
+        #: compiled route programs: (device, spi, si, input template set)
+        #: -> :class:`_HopTable`, plus (chain, template set) ->
+        #: :class:`_EntryPaths`; both follow the flow-classification memo
+        #: (see :meth:`_clear_flow_paths`). ``_table_rows`` counts the
+        #: rows allocated across both against ``_FLOW_CACHE_MAX``.
+        self._hop_tables: Dict[tuple, _HopTable] = {}
+        self._entry_paths: Dict[tuple, _EntryPaths] = {}
+        self._table_rows = 0
         #: (server, spi, si) -> is every pipeline module reachable at those
         #: coordinates vector-safe? (static closure walk, memoized)
         self._route_safety: Dict[tuple, bool] = {}
@@ -321,6 +520,7 @@ class DeployedRack:
 
         # columnar memos bind probe outcomes to the installed programs and
         # routes; any artifact change invalidates them wholesale
+        self._clear_flow_paths()
         self._hop_probes.clear()
         self._route_safety.clear()
 
@@ -460,8 +660,8 @@ device_fingerprints`) decide what happens to each device:
         everything derived purely from the artifacts (routing tables, hop
         indexes, OF vid maps, route-safety memos) is kept. The injection
         sequence, fault state, flow-classification memo, and columnar
-        probe cache (which holds references to the old module objects)
-        are cleared.
+        probe cache and compiled route programs (which hold references
+        to the old module objects) are cleared.
         """
         for name, ir in self.artifacts.bess.items():
             self.servers[name] = self._build_server(name, ir)
@@ -471,7 +671,7 @@ device_fingerprints`) decide what happens to each device:
             self.of_runtime = self._build_of_switch(self.artifacts)
         self._switch_modules.clear()
         self._hop_probes.clear()
-        self._flow_paths.clear()
+        self._clear_flow_paths()
         self._next_seq = 0
         self._fault_failed.clear()
         self._fault_loss.clear()
@@ -739,9 +939,19 @@ device_fingerprints`) decide what happens to each device:
         self._flow_cache_miss.inc()
         path = self._classify_walk(chain_placement, packet)
         if len(self._flow_paths) >= _FLOW_CACHE_MAX:
-            self._flow_paths.clear()
+            self._clear_flow_paths()
         self._flow_paths[key] = path
         return path
+
+    def _clear_flow_paths(self) -> None:
+        """Drop the flow-classification memo and, with it, every compiled
+        route program: a signature's cached service path stands for a memo
+        entry, so neither may outlive the other (this keeps flow-cache
+        hit/miss counts identical to the scalar path)."""
+        self._flow_paths.clear()
+        self._entry_paths.clear()
+        self._hop_tables.clear()
+        self._table_rows = 0
 
     def _classify_walk(self, chain_placement: ChainPlacement, packet: Packet
                        ) -> ServicePath:
@@ -870,10 +1080,12 @@ device_fingerprints`) decide what happens to each device:
 
         ``columns`` is consumed: its sequence/label arrays are assigned in
         place. Counter-for-counter and bit-for-bit equivalent to cloning
-        the templates and calling :meth:`run`: each hop through vector-safe
-        code is *probed* once per (device, coordinates, template bytes) —
-        one real clone through the platform runtime — and the observed
-        effect is replayed across the whole column arithmetically.
+        the templates and calling :meth:`run`. Each hop through vector-safe
+        code runs a compiled *route program* step: a signature-indexed
+        :class:`_HopTable` per (device, coordinates, template set), whose
+        rows are probed once — one real clone through the platform runtime
+        — the first time a signature reaches the hop. A warm hop is a few
+        numpy gathers over the column plus one counter-delta product.
         Anything the probe model cannot express (stateful NFs, multi-emit
         pipelines, classification-cache pressure) falls back to the scalar
         block loop via :meth:`PacketColumns.materialize_packets`.
@@ -884,15 +1096,17 @@ device_fingerprints`) decide what happens to each device:
         result = ColumnarRunResult(chain_id=name, count=n, seq_base=seq_base)
         if n == 0:
             return result
-        uniq, first_pos = np.unique(columns.sig, return_index=True)
-        usigs = [int(s) for s in uniq]
-        dirty = any(
-            columns.templates[s].metadata.cycles_consumed
-            or columns.templates[s].metadata.cycles_by_device
-            or columns.templates[s].metadata.drop_flag
-            for s in usigs
-        )
-        if dirty or len(self._flow_paths) + len(usigs) >= _FLOW_CACHE_MAX:
+        tset = columns.templates
+        entry = self._entry_paths_for(chain_placement, tset)
+        pid_arr = entry.pid[columns.sig]
+        unknown = pid_arr < 0
+        new_sigs: List[int] = []
+        if bool(unknown.any()):
+            fresh, first_pos = np.unique(columns.sig[unknown],
+                                         return_index=True)
+            new_sigs = fresh[np.argsort(first_pos)].tolist()
+        dirty = tset.has_dirty and bool(tset.dirty[columns.sig].any())
+        if dirty or len(self._flow_paths) + len(new_sigs) >= _FLOW_CACHE_MAX:
             # pre-charged templates and a classification cache about to
             # clear mid-batch are scalar-path territory: replicate exactly
             packets, _records = columns.materialize_packets()
@@ -902,17 +1116,16 @@ device_fingerprints`) decide what happens to each device:
                 for i, packet in enumerate(scalar_run.outputs)
             }
             return result
-        path_of: Dict[int, ServicePath] = {}
-        for pos in np.argsort(first_pos).tolist():
-            sig = usigs[pos]
-            path_of[sig] = self.classify(
-                chain_placement, columns.templates[sig]
-            )
-        # classify() counted one hit-or-miss per distinct flow; the other
-        # packets of each flow are cache hits by definition
-        clones = n - len(usigs)
-        if clones:
-            self._flow_cache_hit.inc(clones)
+        # known signatures stand for memo entries (cleared together), so
+        # each is a cache hit exactly as classify() would count it; new
+        # ones are classified in first-appearance order
+        for sig in new_sigs:
+            entry.assign(sig, self.classify(chain_placement, tset[sig]))
+        if new_sigs:
+            pid_arr = entry.pid[columns.sig]
+        hits = n - len(new_sigs)
+        if hits:
+            self._flow_cache_hit.inc(hits)
         columns.seq = np.arange(seq_base, seq_base + n, dtype=np.int64)
         self._next_seq = seq_base + n
         self._chain_instruments(name)["injected"].inc(n)
@@ -923,26 +1136,15 @@ device_fingerprints`) decide what happens to each device:
             n = len(columns)
             if n == 0:
                 return result
+            pid_arr = entry.pid[columns.sig]
 
         # partition into maximal consecutive same-service-path runs, as the
         # scalar loop does, so module state/RNG evolve in injection order
-        paths: List[ServicePath] = []
-        path_ids: Dict[int, int] = {}
-        pid_of_sig: Dict[int, int] = {}
-        for sig in usigs:
-            path = path_of[sig]
-            pid = path_ids.get(id(path))
-            if pid is None:
-                pid = path_ids[id(path)] = len(paths)
-                paths.append(path)
-            pid_of_sig[sig] = pid
-        pid_uniq = np.asarray([pid_of_sig[s] for s in usigs])
-        pid_arr = pid_uniq[np.searchsorted(uniq, columns.sig)]
         change = np.flatnonzero(pid_arr[1:] != pid_arr[:-1]) + 1
         bounds = [0, *change.tolist(), n]
         single = len(bounds) == 2
         for b0, b1 in zip(bounds, bounds[1:]):
-            path = paths[int(pid_arr[b0])]
+            path = entry.paths[int(pid_arr[b0])]
             block = columns if single else columns.slice(b0, b1)
             self._run_block_columns(
                 chain_placement, block, path.spi,
@@ -950,15 +1152,37 @@ device_fingerprints`) decide what happens to each device:
             )
         return result
 
+    def _entry_paths_for(self, cp: ChainPlacement,
+                         tset: TemplateSet) -> "_EntryPaths":
+        """The signature -> service-path map of ``cp`` over ``tset``."""
+        key = (cp.name, tset)
+        entry = self._entry_paths.get(key)
+        if entry is None or entry.chain is not cp.chain:
+            self._reserve_rows(len(tset))
+            entry = self._entry_paths[key] = _EntryPaths(cp.chain, len(tset))
+        return entry
+
+    def _reserve_rows(self, size: int) -> None:
+        """Account ``size`` rows of a new table or entry map against
+        ``_FLOW_CACHE_MAX``; past it, every route program is dropped (safe
+        at any point: a dropped program is simply compiled again, and a
+        forgotten signature re-classifies as a memo hit)."""
+        if self._table_rows + size > _FLOW_CACHE_MAX:
+            self._hop_tables.clear()
+            self._entry_paths.clear()
+            self._table_rows = 0
+        self._table_rows += size
+
     def _run_block_columns(self, cp: ChainPlacement, cols: PacketColumns,
                            spi: int, si: int, excursions: int,
                            switch_passes: int, result: ColumnarRunResult,
                            budget: int) -> None:
         """Columnar :meth:`_run_block`: the same hop loop, whole-column ops.
 
-        Probes run *before* any counter or fault-state side effect, so a
-        non-vectorizable discovery can still hand the block to the scalar
-        loop at the top of the current hop with nothing double-counted.
+        Each hop's table is compiled (missing rows probed) *before* any
+        counter or fault-state side effect, so a non-vectorizable
+        discovery can still hand the block to the scalar loop at the top
+        of the current hop with nothing double-counted.
         """
         name = cp.name
         switch_name = self.topology.switch.name
@@ -978,22 +1202,17 @@ device_fingerprints`) decide what happens to each device:
             nxt = path.hop_after(hop_index)
 
             if hop.device == switch_name:
-                probes = self._probe_column_switch(cp, hop, cols, spi, si)
-                if probes is None:
+                table = self._hop_table(cp, hop, cols, spi, si)
+                if table is None:
                     self._fallback_block_columns(
                         cp, cols, spi, si, excursions, switch_passes,
                         result, budget + 1,
                     )
                     return
-                uniq, inv = np.unique(cols.sig, return_inverse=True)
-                usigs = [int(s) for s in uniq]
                 in_c, out_c, _ = self._dev_counters[hop.device]
                 in_c.inc(len(cols))
-                self._replay_probes(probes, usigs, np.bincount(inv),
-                                    runtime=self.of_runtime)
-                surv = np.asarray(
-                    [probes[s].survived for s in usigs], dtype=bool
-                )[inv]
+                table.replay(cols.sig)
+                surv = table.survived[cols.sig]
                 dropped = len(cols) - int(surv.sum())
                 if dropped:
                     reason = ("openflow_rule" if self.of_runtime is not None
@@ -1006,16 +1225,8 @@ device_fingerprints`) decide what happens to each device:
                 out_c.inc(len(cols))
                 if not len(cols):
                     return
-                live_sigs = {int(s) for s in cols.sig}
-                for sig in live_sigs:
-                    cols.templates[sig] = probes[sig].template
-                if any(probes[s].pkt_cycles for s in live_sigs):
-                    u2, i2 = np.unique(cols.sig, return_inverse=True)
-                    charged = np.asarray(
-                        [probes[int(s)].pkt_cycles for s in u2],
-                        dtype=np.int64,
-                    )[i2]
-                    cols.cycles = cols.cycles + charged
+                cols.templates = table.out
+                cols.cycles = cols.cycles + table.pkt_cycles[cols.sig]
                 cols.hops.append(HopColumn(
                     hop.device, hop.platform,
                     np.zeros(len(cols), dtype=np.int64),
@@ -1032,53 +1243,18 @@ device_fingerprints`) decide what happens to each device:
             # float-order corner: revisiting a device would interleave with
             # earlier charges in cycles_by_device insertion order; rare
             # enough to take the scalar path
-            revisit = hop.device in cols.device_cycles
-            if hop.platform == Platform.SERVER.value:
-                server_rt = self.servers.get(hop.device)
-                if (revisit or server_rt is None
-                        or not self._server_route_safe(hop.device, spi, si)):
-                    self._fallback_block_columns(
-                        cp, cols, spi, si, excursions, switch_passes,
-                        result, budget + 1,
-                    )
-                    return
-                reason = "server_pipeline"
-                runtime = None
-            elif hop.platform == Platform.SMARTNIC.value:
-                runtime = self.nics.get(hop.device)
-                loaded = runtime is not None and runtime.program is not None
-                entry = runtime.route_entry(spi, si) if loaded else None
-                if (revisit or not loaded
-                        or (entry is not None
-                            and not entry[0].vector_safe)):
-                    self._fallback_block_columns(
-                        cp, cols, spi, si, excursions, switch_passes,
-                        result, budget + 1,
-                    )
-                    return
-                reason = "nic_program"
-            else:
-                raise DataplaneError(
-                    f"unexpected hop platform {hop.platform}"
+            table = None
+            if hop.device not in cols.device_cycles:
+                table = self._hop_table(cp, hop, cols, spi, si)
+            if table is None:
+                self._fallback_block_columns(
+                    cp, cols, spi, si, excursions, switch_passes,
+                    result, budget + 1,
                 )
-
-            probes = {}
-            for sig in {int(s) for s in cols.sig}:
-                if runtime is None:
-                    probe = self._probe_server_sig(
-                        server_rt, hop.device, spi, si, cols.templates[sig]
-                    )
-                else:
-                    probe = self._probe_nic_sig(
-                        runtime, hop.device, spi, si, cols.templates[sig]
-                    )
-                if probe is None:
-                    self._fallback_block_columns(
-                        cp, cols, spi, si, excursions, switch_passes,
-                        result, budget + 1,
-                    )
-                    return
-                probes[sig] = probe
+                return
+            reason = ("server_pipeline"
+                      if hop.platform == Platform.SERVER.value
+                      else "nic_program")
 
             excursions += 1
             switch_passes += 1
@@ -1104,20 +1280,12 @@ device_fingerprints`) decide what happens to each device:
 
             in_c, out_c, _ = self._dev_counters[hop.device]
             in_c.inc(len(cols))
-            uniq, inv = np.unique(cols.sig, return_inverse=True)
-            usigs = [int(s) for s in uniq]
-            self._replay_probes(probes, usigs, np.bincount(inv),
-                                runtime=runtime)
-            charged = np.asarray(
-                [probes[s].pkt_cycles for s in usigs], dtype=np.int64
-            )[inv]
-            if any(probes[s].rng_modules for s in usigs):
-                charged = charged + self._replay_rng(
-                    probes, [int(s) for s in cols.sig]
-                )
-            surv = np.asarray(
-                [probes[s].survived for s in usigs], dtype=bool
-            )[inv]
+            sig = cols.sig
+            table.replay(sig)
+            charged = table.pkt_cycles[sig]
+            if table.rng_modules:
+                charged = charged + table.draw_rng(sig)
+            surv = table.survived[sig]
             n_surv = int(surv.sum())
             dropped = len(cols) - n_surv
             if dropped:
@@ -1134,6 +1302,7 @@ device_fingerprints`) decide what happens to each device:
                 return
             if dropped:
                 cols = cols.compress(surv)
+            cols.templates = table.out
             cols.cycles = cols.cycles + charged_surv
             cols.charge_device(hop.device, charged_surv)
             freq = self.device_freq(hop.device)
@@ -1141,19 +1310,12 @@ device_fingerprints`) decide what happens to each device:
                 hop.device, hop.platform, charged_surv,
                 charged_surv / freq * 1e6,
             ))
-            u2, i2 = np.unique(cols.sig, return_inverse=True)
-            usigs2 = [int(s) for s in u2]
-            for sig in usigs2:
-                cols.templates[sig] = probes[sig].template
-            nspi = np.asarray(
-                [probes[s].next_spi for s in usigs2], dtype=np.int64
-            )[i2]
-            nsi = np.asarray(
-                [probes[s].next_si for s in usigs2], dtype=np.int64
-            )[i2]
-            if len(usigs2) == 1 or bool(
-                np.all((nspi == nspi[0]) & (nsi == nsi[0]))
-            ):
+            if len(table.next_coords) == 1:
+                spi, si = next(iter(table.next_coords))
+                continue
+            nspi = table.next_spi[cols.sig]
+            nsi = table.next_si[cols.sig]
+            if bool(np.all((nspi == nspi[0]) & (nsi == nsi[0]))):
                 spi, si = int(nspi[0]), int(nsi[0])
                 continue
             # Divergent next coordinates: recurse on consecutive
@@ -1181,61 +1343,64 @@ device_fingerprints`) decide what happens to each device:
         self._run_block(cp, packets, spi, si, excursions, switch_passes,
                         result.scalar, budget, hop_records)
 
-    def _replay_probes(self, probes: Dict[int, _HopProbe],
-                       usigs: List[int], counts: np.ndarray,
-                       runtime=None) -> None:
-        """Replay probe counter deltas across the column: one signature's
-        probe effect, multiplied by its packet multiplicity."""
-        for sig, k in zip(usigs, counts.tolist()):
-            probe = probes[sig]
-            for m, rx_d, tx_d, dr_d, cy_d in probe.module_deltas:
-                m.rx_packets += rx_d * k
-                m.tx_packets += tx_d * k
-                m.dropped_packets += dr_d * k
-                m.cycles_charged += cy_d * k
-            if runtime is not None:
-                rx_d, tx_d, dr_d, cy_d = probe.runtime_deltas
-                runtime.rx += rx_d * k
-                runtime.tx += tx_d * k
-                runtime.drops += dr_d * k
-                if cy_d:
-                    runtime.cycles_charged += cy_d * k
-            for rule, match_len in probe.of_rules:
-                rule.packets += k
-                rule.bytes += match_len * k
+    # -- route programs: compiled hop tables -------------------------------------
 
-    def _replay_rng(self, probes: Dict[int, _HopProbe],
-                    sig_list: List[int]) -> np.ndarray:
-        """Per-packet RNG cost draws, replayed in block arrival order.
+    def _hop_table(self, cp: ChainPlacement, hop, cols: PacketColumns,
+                   spi: int, si: int) -> Optional[_HopTable]:
+        """The compiled table of one hop with a row for every signature in
+        ``cols``, or None when the hop's code at these coordinates is not
+        vector-safe or some signature cannot be probed.
 
-        Each module's stream must advance exactly as under scalar
-        injection: one ``uniform(low, worst)`` draw per packet that reaches
-        it, in the order the packets arrive. ``low + (worst - low) * r``
-        with ``r`` pulled from the module's own RNG reproduces
-        ``random.Random.uniform`` bit-for-bit, and the float64 elementwise
-        arithmetic matches the scalar expression exactly.
+        Safety is decided before any probe runs — pushing even one clone
+        through an unsafe module (say NAT) would already mutate its state.
+        Only signatures the table has not seen yet are probed.
         """
-        extra = np.zeros(len(sig_list), dtype=np.int64)
-        plan: Dict[int, List[int]] = {}
-        owners: Dict[int, object] = {}
-        for i, sig in enumerate(sig_list):
-            for module in probes[sig].rng_modules:
-                key = id(module)
-                members = plan.get(key)
-                if members is None:
-                    members = plan[key] = []
-                    owners[key] = module
-                members.append(i)
-        for key, members in plan.items():
-            module = owners[key]
-            low, worst = module._cost_bounds()
-            span = worst - low
-            rand = module._rng.random
-            draws = np.asarray([rand() for _ in members], dtype=np.float64)
-            charged = (low + span * draws).astype(np.int64)
-            module.cycles_charged += int(charged.sum())
-            extra[np.asarray(members, dtype=np.intp)] += charged
-        return extra
+        device = hop.device
+        runtime = None
+        if device == self.topology.switch.name:
+            runtime = self.of_runtime
+            if runtime is not None:
+                probe = partial(self._probe_of_sig, hop, spi, si)
+            elif all(self._switch_module(cp, nid).vector_safe
+                     for nid in hop.node_ids):
+                probe = partial(self._probe_pisa_sig, cp, hop, spi, si)
+            else:
+                return None
+        elif hop.platform == Platform.SERVER.value:
+            server_rt = self.servers.get(device)
+            if (server_rt is None
+                    or not self._server_route_safe(device, spi, si)):
+                return None
+            probe = partial(self._probe_server_sig, server_rt, device, spi,
+                            si)
+        elif hop.platform == Platform.SMARTNIC.value:
+            runtime = self.nics.get(device)
+            if runtime is None or runtime.program is None:
+                return None
+            entry = runtime.route_entry(spi, si)
+            if entry is not None and not entry[0].vector_safe:
+                return None
+            probe = partial(self._probe_nic_sig, runtime, device, spi, si)
+        else:
+            raise DataplaneError(f"unexpected hop platform {hop.platform}")
+
+        tset = cols.templates
+        key = (device, spi, si, tset)
+        table = self._hop_tables.get(key)
+        if table is None:
+            self._reserve_rows(len(tset))
+            table = self._hop_tables[key] = _HopTable(len(tset), runtime)
+        known = table.known[cols.sig]
+        if not bool(known.all()):
+            missing = np.unique(cols.sig[~known]).tolist()
+            probes = []
+            for sig in missing:
+                row = probe(tset[sig])
+                if row is None:
+                    return None
+                probes.append(row)
+            table.fill(missing, probes)
+        return table
 
     # -- columnar hop probes -------------------------------------------------------
 
@@ -1244,27 +1409,6 @@ device_fingerprints`) decide what happens to each device:
             self._hop_probes.clear()
         self._hop_probes[key] = probe
         return probe
-
-    def _probe_column_switch(self, cp: ChainPlacement, hop,
-                             cols: PacketColumns, spi: int, si: int
-                             ) -> Optional[Dict[int, _HopProbe]]:
-        """Probe a switch hop for every signature in the column, or None
-        when any part of it is not vectorizable."""
-        if self.of_runtime is None:
-            for nid in hop.node_ids:
-                if not self._switch_module(cp, nid).vector_safe:
-                    return None
-        probes: Dict[int, _HopProbe] = {}
-        for sig in {int(s) for s in cols.sig}:
-            template = cols.templates[sig]
-            if self.of_runtime is not None:
-                probe = self._probe_of_sig(hop, spi, si, template)
-            else:
-                probe = self._probe_pisa_sig(cp, hop, spi, si, template)
-            if probe is None:
-                return None
-            probes[sig] = probe
-        return probes
 
     def _probe_of_sig(self, hop, spi: int, si: int,
                       template: Packet) -> Optional[_HopProbe]:

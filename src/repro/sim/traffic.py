@@ -42,10 +42,10 @@ from repro.hw.spec import TopologySpec
 from repro.hw.topology import Topology
 from repro.metacompiler.compiler import CompiledArtifacts, MetaCompiler
 from repro.net.packet import Packet
-from repro.obs import MetricsRegistry, quantile, scoped_registry
+from repro.obs import MetricsRegistry, quantiles, scoped_registry
 from repro.profiles.defaults import ProfileDatabase, default_profiles
 from repro.runtime.pool import in_worker
-from repro.sim.columns import PacketColumns
+from repro.sim.columns import PacketColumns, TemplateSet
 from repro.sim.measurement import QueueingModel
 from repro.sim.runtime import DeployedRack, _chain_packet
 from repro.units import SIM_PACKET_BITS, SLO_RTOL
@@ -54,6 +54,14 @@ from repro.units import SIM_PACKET_BITS, SLO_RTOL
 #: of truth in :mod:`repro.units`, which also sizes the synthesized
 #: packets' ``total_bytes`` in :func:`repro.sim.runtime._chain_packet`.
 PACKET_BITS = SIM_PACKET_BITS
+
+
+def latency_quantiles(samples: Sequence[float]) -> Dict[str, float]:
+    """A report row's p50/p95/p99 latency fields from one sample list,
+    sorted once."""
+    p50, p95, p99 = quantiles(samples, (0.50, 0.95, 0.99))
+    return {"latency_p50_us": p50, "latency_p95_us": p95,
+            "latency_p99_us": p99}
 
 
 def configure_rack_queueing(rack: DeployedRack, placement: Placement,
@@ -391,8 +399,10 @@ class TrafficEngine:
         self.vectorized = vectorized
         self.shards = shards
         self.pool = pool
-        #: chain name -> (chain object, synthesized flow templates); the
-        #: chain object guards against a redeployed chain of the same name.
+        #: chain name -> (chain object, synthesized flow templates, their
+        #: shared :class:`TemplateSet`); the chain object guards against a
+        #: redeployed chain of the same name, and the one set per chain
+        #: keys the rack's compiled route programs across batches.
         self._flows: Dict[str, tuple] = {}
         #: identity-keyed (parts, payload, fingerprint) memo for
         #: :meth:`_pooled_bundle`.
@@ -445,15 +455,19 @@ class TrafficEngine:
         replay cycles cheap clones of these templates (the templates
         themselves are never injected, so they stay pristine).
         """
+        return self._flow_set(cp)[0]
+
+    def _flow_set(self, cp: ChainPlacement) -> Tuple[List[Packet],
+                                                     TemplateSet]:
         cached = self._flows.get(cp.name)
-        if cached is not None and cached[0] is cp.chain:
-            return cached[1]
-        flows = [
-            _chain_packet(cp.chain, index)
-            for index in range(self.flows_per_chain)
-        ]
-        self._flows[cp.name] = (cp.chain, flows)
-        return flows
+        if cached is None or cached[0] is not cp.chain:
+            flows = [
+                _chain_packet(cp.chain, index)
+                for index in range(self.flows_per_chain)
+            ]
+            cached = self._flows[cp.name] = (
+                cp.chain, flows, TemplateSet(flows))
+        return cached[1], cached[2]
 
     @staticmethod
     def _columnar_latencies(result) -> List[float]:
@@ -487,7 +501,7 @@ class TrafficEngine:
         delivered packets' stamped end-to-end latencies (µs), the guard's
         windowed-quantile input.
         """
-        flows = self.synthesize_flows(cp)
+        flows, tset = self._flow_set(cp)
         n_flows = len(flows)
         delivered = 0
         injected = 0
@@ -496,10 +510,8 @@ class TrafficEngine:
             size = min(self.batch_size, count - injected)
             base = cursor + injected
             if self.vectorized:
-                sig = [(base + offset) % n_flows for offset in range(size)]
-                result = self.rack.run_columns(
-                    cp, PacketColumns.for_flows(flows, sig)
-                )
+                sig = np.arange(base, base + size, dtype=np.int64) % n_flows
+                result = self.rack.run_columns(cp, PacketColumns(tset, sig))
                 delivered += result.delivered
                 latencies.extend(self._columnar_latencies(result))
             else:
@@ -545,7 +557,7 @@ class TrafficEngine:
         The values are identical to the inline computation by
         construction, so outcomes do not depend on the transport.
         """
-        flows = self.synthesize_flows(cp)
+        flows, tset = self._flow_set(cp)
         n_flows = len(flows)
         if sig_schedule is not None and len(sig_schedule) < packets_per_chain:
             sig_schedule = None
@@ -562,12 +574,10 @@ class TrafficEngine:
                 if sig_schedule is not None:
                     sig = sig_schedule[injected:injected + size]
                 else:
-                    sig = [
-                        (injected + offset) % n_flows
-                        for offset in range(size)
-                    ]
+                    sig = np.arange(injected, injected + size,
+                                    dtype=np.int64) % n_flows
                 started = time.perf_counter()
-                columns = PacketColumns.for_flows(flows, sig)
+                columns = PacketColumns(tset, sig)
                 result = run_columns(cp, columns)
                 delivered += result.delivered
                 wall += time.perf_counter() - started
@@ -594,9 +604,7 @@ class TrafficEngine:
             wall_seconds=wall,
             assigned_mbps=self.placement.rates.get(cp.name, 0.0),
             t_min_mbps=cp.chain.slo.t_min,
-            latency_p50_us=quantile(latencies, 0.50),
-            latency_p95_us=quantile(latencies, 0.95),
-            latency_p99_us=quantile(latencies, 0.99),
+            **latency_quantiles(latencies),
             latency_slo_us=0.0 if math.isinf(d_max) else d_max,
         )
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
@@ -203,3 +205,30 @@ class TestQuantile:
         summary = hist.summary()
         assert summary["p95"] == 40.0
         assert summary["p50"] <= summary["p95"] <= summary["p99"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.floats(min_value=-1e12, max_value=1e12),
+                         max_size=60),
+        qs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                    max_size=5),
+    )
+    def test_quantiles_equals_quantile_per_q(self, samples, qs):
+        """One sort serves every q, value for value — reports built from
+        ``quantiles`` stay byte-identical to per-q ``quantile`` calls and
+        to the original sort-per-call interpolation."""
+        from repro.obs import quantile, quantiles
+
+        def sort_per_call(values, q):
+            ordered = sorted(values)
+            if not ordered:
+                return 0.0
+            virtual = q * (len(ordered) - 1)
+            lo = int(virtual)
+            hi = min(lo + 1, len(ordered) - 1)
+            frac = virtual - lo
+            return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+        got = quantiles(samples, qs)
+        assert got == [quantile(samples, q) for q in qs]
+        assert got == [sort_per_call(samples, q) for q in qs]

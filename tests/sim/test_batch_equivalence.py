@@ -9,7 +9,11 @@ seeds and all three platforms (server pipelines, SmartNIC program,
 OpenFlow rules).
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
@@ -18,9 +22,10 @@ from repro.hw.spec import TopologySpec
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry
 from repro.profiles.defaults import default_profiles
-from repro.sim.columns import PacketColumns
+from repro.sim.columns import PacketColumns, TemplateSet
 from repro.sim.measurement import QueueingModel
-from repro.sim.runtime import DeployedRack, _chain_packet
+import repro.sim.runtime as runtime_module
+from repro.sim.runtime import DeployedRack, _chain_packet, _random_doubles
 from repro.units import gbps
 
 #: (label, spec, topology kwargs, SLO) — one scenario per platform plus a
@@ -157,10 +162,39 @@ def _queueing_utilization(rack):
             for i, name in enumerate(devices)}
 
 
+def _rng_states(rack):
+    """Every functional module's RNG state, by (device, module)."""
+    modules = {}
+    for server, runtime in rack.servers.items():
+        for name, module in runtime.pipeline.modules.items():
+            modules[(server, name)] = module
+    for nic, runtime in rack.nics.items():
+        for index, module in runtime._nf_modules.items():
+            modules[(nic, index)] = module
+    for node_id, module in rack._switch_modules.items():
+        modules[("tor", node_id)] = module
+    return {key: module._rng.getstate() for key, module in modules.items()}
+
+
+def _flow_cache_counts(registry):
+    return tuple(
+        registry.counter_value("rack.flow_cache.lookups", result=result)
+        for result in ("hit", "miss")
+    )
+
+
 def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
-                        fault=None, queueing=False, interrack=False):
+                        fault=None, queueing=False, interrack=False,
+                        passes=1, between=None):
     """Drive identical racks through the scalar batch path and the
-    columnar path and assert bit-identity on every observable surface."""
+    columnar path and assert bit-identity on every observable surface.
+
+    ``passes`` replays the same flow cycle again on the same racks; the
+    columnar side reuses one template set, so later passes run the
+    compiled route programs of the first. ``between(rack, cp)`` is applied
+    to both racks after each pass but the last and returns the chain
+    placement to replay next (a redeploy replaces it).
+    """
     n_packets = n_flows * reps
     scalar_rack, scalar_cp, scalar_registry = _deploy(
         spec, topo_kwargs, slo, seed)
@@ -187,27 +221,37 @@ def _scalar_vs_columnar(spec, topo_kwargs, slo, seed, *, n_flows=6, reps=8,
         scalar_rack.set_device_failed(_target_device(scalar_rack))
         vector_rack.set_device_failed(_target_device(vector_rack))
 
-    scalar_out = scalar_rack.inject_batch(
-        scalar_cp,
-        [_chain_packet(scalar_cp.chain, i % n_flows) for i in range(n_packets)],
-    )
-    flows = [_chain_packet(vector_cp.chain, i) for i in range(n_flows)]
-    columns = PacketColumns.for_flows(
-        flows, [i % n_flows for i in range(n_packets)])
-    vector_out = vector_rack.run_columns(vector_cp, columns).materialize()
+    flows = TemplateSet(
+        [_chain_packet(vector_cp.chain, i) for i in range(n_flows)])
+    sig = [i % n_flows for i in range(n_packets)]
+    for pass_index in range(passes):
+        if pass_index:
+            scalar_cp = between(scalar_rack, scalar_cp)
+            vector_cp = between(vector_rack, vector_cp)
+        scalar_out = scalar_rack.inject_batch(
+            scalar_cp,
+            [_chain_packet(scalar_cp.chain, s) for s in sig],
+        )
+        vector_out = vector_rack.run_columns(
+            vector_cp, PacketColumns(flows, sig)).materialize()
 
-    assert len(vector_out) == n_packets
-    for index, (a, b) in enumerate(zip(scalar_out, vector_out)):
-        assert (a is None) == (b is None), f"packet {index} outcome differs"
-        if a is None:
-            continue
-        assert a.data == b.data, f"packet {index} bytes differ"
-        assert a.metadata.cycles_consumed == b.metadata.cycles_consumed
-        assert a.metadata.cycles_by_device == b.metadata.cycles_by_device
-        assert a.metadata.processed_by == b.metadata.processed_by
-        assert dict(a.metadata.fields) == dict(b.metadata.fields)
+        assert len(vector_out) == n_packets
+        for index, (a, b) in enumerate(zip(scalar_out, vector_out)):
+            assert (a is None) == (b is None), \
+                f"pass {pass_index} packet {index} outcome differs"
+            if a is None:
+                continue
+            assert a.data == b.data, f"packet {index} bytes differ"
+            assert a.metadata.cycles_consumed == b.metadata.cycles_consumed
+            assert a.metadata.cycles_by_device == \
+                b.metadata.cycles_by_device
+            assert a.metadata.processed_by == b.metadata.processed_by
+            assert dict(a.metadata.fields) == dict(b.metadata.fields)
+        assert (_flow_cache_counts(scalar_registry)
+                == _flow_cache_counts(vector_registry))
     assert scalar_registry.dump_state() == vector_registry.dump_state()
     assert scalar_rack.device_stats() == vector_rack.device_stats()
+    assert _rng_states(scalar_rack) == _rng_states(vector_rack)
 
 
 @pytest.mark.parametrize("seed", [7, 23, 101])
@@ -276,6 +320,115 @@ def test_columnar_matches_scalar_interrack_with_queueing():
     _label, spec, topo_kwargs, slo = SCENARIOS[1]
     _scalar_vs_columnar(spec, topo_kwargs, slo, seed=7,
                         interrack=True, queueing=True)
+
+
+@pytest.mark.parametrize("fault", [None, "loss", "failed"])
+@pytest.mark.parametrize("seed", [7, 23, 101])
+@pytest.mark.parametrize(
+    "label,spec,topo_kwargs,slo",
+    SCENARIOS,
+    ids=[s[0] for s in SCENARIOS],
+)
+def test_columnar_matches_scalar_high_cardinality(label, spec, topo_kwargs,
+                                                  slo, seed, fault):
+    """Route-program tier: every packet of the first pass is its own flow
+    signature, so each hop table compiles one row per packet; the second
+    pass on the same racks replays purely from the compiled tables —
+    with queueing stamps and faults active on both."""
+    _scalar_vs_columnar(spec, topo_kwargs, slo, seed, n_flows=64, reps=1,
+                        fault=fault, queueing=True, passes=2,
+                        between=lambda rack, cp: cp)
+
+
+def _redeploy_with_extra_chain(rack, cp):
+    """Delta redeploy: re-place the chain next to a newly arrived one."""
+    (extra,) = chains_from_spec("chain zz: ACL -> Encrypt")
+    extra = extra.with_slo(SLO(t_min=gbps(0.1), t_max=gbps(5)))
+    placement = heuristic_place([cp.chain, extra], rack.topology,
+                                rack.profiles)
+    assert placement.feasible, placement.infeasible_reason
+    rack.redeploy(MetaCompiler(topology=rack.topology,
+                               profiles=rack.profiles
+                               ).compile_placement(placement))
+    return next(c for c in placement.chains if c.name == cp.name)
+
+
+#: classification-memo bound while the overflow invalidation runs: small
+#: enough to overflow on a few dozen flows, large enough that the route
+#: programs of one pass fit under it
+SMALL_FLOW_CACHE = 40
+
+
+def _overflow_flow_cache(rack, cp):
+    """Classify unseen flows through the scalar path until the
+    classification memo overflows and clears."""
+    rack.run(cp, [_chain_packet(cp.chain, 100 + i)
+                  for i in range(SMALL_FLOW_CACHE)])
+    return cp
+
+
+def _mutate(action):
+    def between(rack, cp):
+        if action == "set_device_failed":
+            rack.set_device_failed(_target_device(rack))
+        elif action == "set_drop_fraction":
+            rack.set_drop_fraction(_target_device(rack), 0.5)
+        elif action == "clear_faults":
+            rack.clear_faults()
+        elif action == "configure_queueing":
+            rack.configure_queueing(QueueingModel(kind="mm1"),
+                                    _queueing_utilization(rack))
+        return cp
+    return between
+
+
+INVALIDATIONS = {
+    "redeploy": _redeploy_with_extra_chain,
+    "set_device_failed": _mutate("set_device_failed"),
+    "set_drop_fraction": _mutate("set_drop_fraction"),
+    "clear_faults": _mutate("clear_faults"),
+    "configure_queueing": _mutate("configure_queueing"),
+    "flow_cache_overflow": _overflow_flow_cache,
+}
+
+
+@pytest.mark.parametrize("action", sorted(INVALIDATIONS))
+@pytest.mark.parametrize(
+    "label,spec,topo_kwargs,slo",
+    SCENARIOS,
+    ids=[s[0] for s in SCENARIOS],
+)
+def test_no_stale_route_program_survives(label, spec, topo_kwargs, slo,
+                                         action, monkeypatch):
+    """Whatever changes between two columnar passes — a delta redeploy,
+    fault state, the queueing model, or a classification-memo overflow —
+    the second pass still matches a scalar twin exactly, flow-cache
+    hit/miss counts included: no compiled table outlives what it encodes.
+    """
+    if action == "flow_cache_overflow":
+        monkeypatch.setattr(runtime_module, "_FLOW_CACHE_MAX",
+                            SMALL_FLOW_CACHE)
+    fault = "loss" if action == "clear_faults" else None
+    _scalar_vs_columnar(spec, topo_kwargs, slo, seed=23, reps=3,
+                        fault=fault, passes=2,
+                        between=INVALIDATIONS[action])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64), warm=st.integers(0, 700),
+       count=st.integers(1, 2000))
+def test_vectorized_rng_draws_are_bit_identical(seed, warm, count):
+    """The columnar RNG replay draws a module's cost samples in one call:
+    the values equal ``count`` successive ``random()`` calls bit for bit,
+    and the generator ends in the same state (``warm`` crosses the
+    MT19937 624-word refill boundary at different offsets)."""
+    vector, scalar = random.Random(seed), random.Random(seed)
+    for rng in (vector, scalar):
+        for _ in range(warm):
+            rng.random()
+    draws = _random_doubles(vector, count)
+    assert draws.tolist() == [scalar.random() for _ in range(count)]
+    assert vector.getstate() == scalar.getstate()
 
 
 def test_columnar_interleaves_with_scalar():
