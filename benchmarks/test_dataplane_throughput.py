@@ -38,7 +38,7 @@ from conftest import record_result, run_once
 from repro.chain.graph import chains_from_spec
 from repro.chain.slo import SLO
 from repro.core.heuristic import heuristic_place
-from repro.hw.topology import default_testbed
+from repro.hw.spec import topology_for
 from repro.metacompiler.compiler import MetaCompiler
 from repro.profiles.defaults import default_profiles
 from repro.sim.runtime import DeployedRack, _chain_packet
@@ -100,7 +100,7 @@ print("pps=%.1f" % (packets / (time.perf_counter() - t0)))
 
 def _deploy():
     profiles = default_profiles()
-    topology = default_testbed(with_smartnic=True)
+    topology = topology_for("paper-testbed", smartnic=True).build()
     chains = chains_from_spec(SPEC, slos=[SLO_BOUNDS])
     placement = heuristic_place(chains, topology, profiles)
     assert placement.feasible, placement.infeasible_reason

@@ -21,8 +21,11 @@ import pytest
 
 from conftest import record_result, run_once
 
-from repro.experiments.runner import run_delta_sweep
+from repro.experiments.runner import SweepSpec, run_sweep
 from repro.experiments.schemes import SCHEMES
+from repro.hw.spec import topology_for
+
+PAPER_TESTBED = topology_for("paper-testbed")
 
 PANELS = {
     "fig2a": (1, 2, 3, 4),
@@ -41,8 +44,9 @@ def test_figure2_panel(benchmark, panel, profiles):
 
     sweep = run_once(
         benchmark,
-        lambda: run_delta_sweep(indices, deltas=DELTAS,
-                                schemes=FAST_SCHEMES, profiles=profiles),
+        lambda: run_sweep(SweepSpec(indices, deltas=DELTAS,
+                                    schemes=FAST_SCHEMES,
+                                    profiles=profiles)),
     )
     record_result(panel, sweep.print_table())
 
@@ -81,7 +85,6 @@ def test_figure2_panel(benchmark, panel, profiles):
 
 def test_optimal_matches_lemur(benchmark, profiles):
     """Optimal vs Lemur on the 4-chain panel (coarse δ grid)."""
-    from repro.hw.topology import default_testbed
     from repro.core.bruteforce import brute_force_place
     from repro.core.heuristic import heuristic_place
     from repro.experiments.chains import chains_with_delta
@@ -94,8 +97,10 @@ def test_optimal_matches_lemur(benchmark, profiles):
         for delta in deltas:
             chains = chains_with_delta([1, 2, 3, 4], delta,
                                        profiles=profiles)
-            optimal = brute_force_place(chains, default_testbed(), profiles)
-            lemur = heuristic_place(chains, default_testbed(), profiles)
+            optimal = brute_force_place(
+                chains, PAPER_TESTBED.build(), profiles
+            )
+            lemur = heuristic_place(chains, PAPER_TESTBED.build(), profiles)
             out.append((delta, optimal, lemur))
         return out
 

@@ -2,7 +2,7 @@
 """CI smoke test for the persistent dataplane worker runtime.
 
 Runs the equivalent of ``repro traffic examples/specs/pop.lemur
---vectorized --shards 2 --pool keep`` twice *in one process* — the
+--vectorized --shards 2`` twice *in one process* — the
 regime the persistent pool exists for — and asserts the warm-rack
 contract:
 
@@ -37,7 +37,6 @@ def run_phase(spec_text: str):
             batch_size=64,
             vectorized=True,
             shards=2,
-            pool="keep",
         ),
         registry=registry,
     )

@@ -28,7 +28,7 @@ from repro.core.placer import (
     PlacementRequest,
     available_strategies,
 )
-from repro.experiments.runner import SweepSpec, run_delta_sweep, run_sweep
+from repro.experiments.runner import SweepSpec, run_sweep
 from repro.hw.multirack import InterRackLink, MultiRackTopology
 from repro.hw.platform import Platform
 from repro.hw.spec import (
@@ -37,7 +37,7 @@ from repro.hw.spec import (
     available_topologies,
     topology_for,
 )
-from repro.hw.topology import Topology, default_testbed, multi_server_testbed
+from repro.hw.topology import Topology
 from repro.metacompiler.compiler import CompiledArtifacts, MetaCompiler
 from repro.profiles.defaults import ProfileDatabase, default_profiles
 from repro.sim.testbed import TestbedSimulator
@@ -61,7 +61,6 @@ __all__ = [
     "PlacementReport",
     "PlacementCache",
     "SweepSpec",
-    "run_delta_sweep",
     "run_sweep",
     "available_strategies",
     "Platform",
@@ -72,8 +71,6 @@ __all__ = [
     "MultiRackTopology",
     "available_topologies",
     "topology_for",
-    "default_testbed",
-    "multi_server_testbed",
     "MetaCompiler",
     "CompiledArtifacts",
     "ProfileDatabase",

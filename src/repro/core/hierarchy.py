@@ -21,6 +21,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -125,11 +126,12 @@ class MultiRackReport:
 
 #: per-rack placement caches that persist inside a pool worker across
 #: dispatch waves — affinity routing sends the same rack to the same
-#: worker, so repeated fabric solves hit a warm cache there too.
+#: worker, so repeated fabric solves hit a warm cache there too (an
+#: in-process fallback keeps them in the parent).
 _WORKER_CACHES: Dict[str, PlacementCache] = {}
 
 
-def _solve_rack_task(arg: dict) -> Tuple[str, PlacementReport]:
+def _solve_rack_task(arg: dict) -> Tuple[str, PlacementReport, int]:
     rack = arg["rack"]
     cache = None
     if arg["use_cache"]:
@@ -148,7 +150,7 @@ def _solve_rack_task(arg: dict) -> Tuple[str, PlacementReport]:
             use_cache=arg["use_cache"],
         )
     )
-    return rack, report
+    return rack, report, os.getpid()
 
 
 @dataclass
@@ -266,16 +268,9 @@ class MultiRackPlacer:
     # -- stage 2: per-rack solves (serial or pooled) ----------------------
 
     def _solve_racks(self, racks, rack_chains, request, opts):
-        use_pool = opts.jobs > 1 and len(racks) > 1
-        if use_pool:
-            try:
-                from repro.runtime.pool import PoolCall, get_pool, in_worker
+        if opts.jobs > 1 and len(racks) > 1:
+            from repro.runtime.pool import PoolCall, run_calls
 
-                if in_worker():
-                    use_pool = False
-            except Exception:  # pragma: no cover - pool always importable
-                use_pool = False
-        if use_pool:
             calls = [
                 PoolCall(
                     _solve_rack_task,
@@ -293,9 +288,12 @@ class MultiRackPlacer:
                 )
                 for rack in racks
             ]
-            pool = get_pool(min(opts.jobs, len(racks)))
-            results = pool.dispatch(calls)
-            return {rack: report for rack, report in results}, "pool"
+            results = run_calls(calls, min(opts.jobs, len(racks)))
+            # a result solved in this process means run_calls fell back
+            here = os.getpid()
+            mode = ("pool" if any(pid != here for *_, pid in results)
+                    else "serial")
+            return {rack: report for rack, report, _pid in results}, mode
 
         reports = {}
         for rack in racks:

@@ -1,4 +1,4 @@
-"""Parallel experiment execution: fan a sweep grid over a process pool.
+"""Parallel experiment execution: fan a sweep grid over the worker pool.
 
 The evaluation grid (Fig. 2/3, §5.3) is a set of *independent*
 (scheme, δ) cells: each one derives its chains, solves a placement, and
@@ -8,10 +8,11 @@ the execution substrate for that shape:
 * :class:`SweepCell` — one picklable cell task;
 * :func:`execute_cell` — the single computation both serial and parallel
   paths share, so results are byte-identical regardless of ``jobs``;
-* :func:`run_cells` — dispatches cells inline or over a
-  :class:`concurrent.futures.ProcessPoolExecutor`, restores deterministic
-  result ordering, and merges per-worker observability registries back
-  into the parent's.
+* :func:`run_cells` — runs cells through
+  :func:`repro.runtime.pool.run_calls` (the persistent pool with
+  ``jobs > 1``, in-process otherwise), restores deterministic result
+  ordering, and merges per-worker observability registries back into the
+  parent's.
 
 Each cell deep-copies its topology before solving, so scheme-side
 mutations (failed devices, reserved cores) can never leak between cells —
@@ -24,10 +25,7 @@ from __future__ import annotations
 
 import copy
 import os
-import pickle
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -36,6 +34,7 @@ from repro.core.placement import Placement
 from repro.hw.topology import Topology
 from repro.obs import get_registry, scoped_registry
 from repro.profiles.defaults import ProfileDatabase
+from repro.runtime.pool import PoolCall, run_calls
 
 
 @dataclass
@@ -69,14 +68,14 @@ class CellOutcome:
     result: "ExperimentResult"
     seconds: float
     worker: int
-    metrics: Optional[dict] = None  # obs dump_state() from a pooled worker
+    metrics: dict  # obs dump_state() of the cell's scoped registry
 
 
 def execute_cell(cell: SweepCell) -> "ExperimentResult":
     """Run one grid cell: derive chains, place (via cache), measure.
 
-    This is the *only* implementation of a cell — the serial loop and the
-    process pool both call it, which is what guarantees parallel runs
+    This is the *only* implementation of a cell — in-process and pooled
+    runs both call it, which is what guarantees parallel runs
     reproduce serial results exactly.
     """
     from repro.experiments.chains import chains_with_delta
@@ -147,27 +146,21 @@ def _measure_cell(
     return report.aggregate_throughput_mbps
 
 
-def _timed_execute(cell: SweepCell) -> Tuple["ExperimentResult", float]:
-    """Execute a cell and record its wall-clock into the ambient registry."""
-    start = time.perf_counter()
-    result = execute_cell(cell)
-    seconds = time.perf_counter() - start
-    get_registry().histogram(
-        "sweep.cell.seconds", scheme=cell.scheme
-    ).observe(seconds)
-    return result, seconds
-
-
 def _cell_worker(cell: SweepCell) -> CellOutcome:
-    """Pool entry point: run one cell under a fresh per-worker registry.
+    """Run one cell under a fresh scoped registry.
 
-    The worker's instrumentation (placer timings, LP solve counts, cache
+    The cell's instrumentation (placer timings, LP solve counts, cache
     hit/miss counters, dataplane stats) lands in a scoped registry whose
-    state is shipped back for the parent to merge — nothing recorded in a
-    worker is lost to process isolation.
+    state the caller merges back — nothing recorded in a pool worker is
+    lost to process isolation, and an in-process run merges the same way.
     """
     with scoped_registry() as registry:
-        result, seconds = _timed_execute(cell)
+        start = time.perf_counter()
+        result = execute_cell(cell)
+        seconds = time.perf_counter() - start
+        registry.histogram(
+            "sweep.cell.seconds", scheme=cell.scheme
+        ).observe(seconds)
         state = registry.dump_state()
     return CellOutcome(
         index=cell.index, result=result, seconds=seconds,
@@ -175,82 +168,24 @@ def _cell_worker(cell: SweepCell) -> CellOutcome:
     )
 
 
-def _pickling_ok(cells: Sequence[SweepCell]) -> bool:
-    try:
-        pickle.dumps(list(cells))
-        return True
-    except Exception:
-        return False
-
-
-def _pooled_outcomes(cells: Sequence[SweepCell],
-                     jobs: int) -> List[CellOutcome]:
-    """Dispatch the grid over the persistent worker pool."""
-    from repro.runtime.pool import PoolCall, get_pool
-
-    worker_pool = get_pool(jobs)
-    return worker_pool.dispatch(
-        [PoolCall(_cell_worker, cell) for cell in cells]
-    )
-
-
 def run_cells(
-    cells: Sequence[SweepCell], jobs: int = 1, pool: str = "keep"
+    cells: Sequence[SweepCell], jobs: int = 1
 ) -> List["ExperimentResult"]:
-    """Execute a grid of cells, serially or over a process pool.
+    """Execute a grid of cells, in-process or over the worker pool.
 
     Results come back in cell-index order regardless of completion order,
     and per-worker metrics are merged into the parent registry in that
-    same deterministic order. ``pool="keep"`` (the default) reuses the
-    process-wide persistent :class:`~repro.runtime.pool.WorkerPool`;
-    ``pool="per-run"`` spawns a throwaway executor. Falls back to serial
-    execution (with a warning) when the grid is not picklable — e.g.
-    lambda schemes or an ad-hoc topology factory.
+    same deterministic order. An unpicklable grid (lambda schemes, an
+    ad-hoc topology factory) runs in-process with a warning.
     """
-    from repro.exceptions import WorkerPoolError
-    from repro.runtime.pool import in_worker
-
     registry = get_registry()
-    if jobs > 1 and len(cells) > 1 and not _pickling_ok(cells):
-        warnings.warn(
-            "sweep grid is not picklable (lambda scheme or topology "
-            "factory?); falling back to serial execution",
-            RuntimeWarning, stacklevel=2,
-        )
-        jobs = 1
-
-    outcomes: List[CellOutcome] = []
-    if jobs <= 1 or len(cells) <= 1 or in_worker():
-        for cell in cells:
-            result, seconds = _timed_execute(cell)
-            outcomes.append(CellOutcome(
-                index=cell.index, result=result,
-                seconds=seconds, worker=os.getpid(),
-            ))
-    else:
-        if pool == "keep":
-            try:
-                outcomes = _pooled_outcomes(cells, jobs)
-            except WorkerPoolError as exc:
-                warnings.warn(
-                    f"persistent worker pool dispatch failed ({exc}); "
-                    "falling back to a per-run pool",
-                    RuntimeWarning, stacklevel=2,
-                )
-                outcomes = []
-        if not outcomes:
-            workers = min(jobs, os.cpu_count() or 1, len(cells))
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(_cell_worker, cell) for cell in cells
-                ]
-                outcomes = [future.result() for future in futures]
-
+    outcomes: List[CellOutcome] = run_calls(
+        [PoolCall(_cell_worker, cell) for cell in cells], jobs
+    )
     outcomes.sort(key=lambda o: o.index)
     per_worker_seconds: Dict[int, float] = {}
     for outcome in outcomes:
-        if outcome.metrics is not None:
-            registry.merge_state(outcome.metrics)
+        registry.merge_state(outcome.metrics)
         per_worker_seconds[outcome.worker] = (
             per_worker_seconds.get(outcome.worker, 0.0) + outcome.seconds
         )

@@ -1,8 +1,9 @@
 """Declarative topology specification: the one way to describe a testbed.
 
-The ad-hoc ``default_testbed()`` / ``multi_server_testbed()`` constructors
-grew a flag per experiment (SmartNIC, OpenFlow ToR, server count, Metron
-steering) and could not express more than one rack. A :class:`TopologySpec`
+The former ad-hoc ``default_testbed()`` / ``multi_server_testbed()``
+constructors (removed) grew a flag per experiment (SmartNIC, OpenFlow
+ToR, server count, Metron steering) and could not express more than one
+rack. A :class:`TopologySpec`
 states the whole fabric as data — racks, their switch/server/SmartNIC
 shapes, and the inter-rack links — with a JSON round-trip that rejects
 unknown fields (the same wire discipline as ``FaultTimeline`` /

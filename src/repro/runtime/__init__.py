@@ -12,6 +12,7 @@ from repro.runtime.pool import (
     default_worker_count,
     get_pool,
     in_worker,
+    run_calls,
     shutdown_pool,
 )
 from repro.runtime.rackcache import (
@@ -39,6 +40,7 @@ __all__ = [
     "get_pool",
     "in_worker",
     "rack_for",
+    "run_calls",
     "run_traffic_shard",
     "session_call",
     "shutdown_pool",

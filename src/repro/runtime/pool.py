@@ -1,16 +1,18 @@
-"""The persistent worker pool behind every parallel execution path.
+"""The persistent worker pool: the one parallel backend.
 
-Every parallel caller used to spawn a fresh ``ProcessPoolExecutor`` per
-run — traffic shards, sweep cells, chaos/lifecycle replica cross-checks,
-and the serve daemon's per-command phases each paid pool-spawn plus task
-re-pickling plus a from-scratch rack rebuild in every worker, which is
-exactly the overhead that dominates short, repeated phases under a
-long-running control plane. :class:`WorkerPool` keeps a small set of
-worker *processes* alive for the lifetime of the parent:
+Traffic shards, sweep cells, chaos/lifecycle replica cross-checks,
+multi-rack per-rack solves and the serve daemon's sessions all run here.
+A throwaway pool per run would pay process spawn, task re-pickling and a
+from-scratch rack rebuild in every worker on every call — the overhead
+that dominates short, repeated phases under a long-running control
+plane. :class:`WorkerPool` keeps a small set of worker *processes* alive
+for the lifetime of the parent:
 
 * **dispatch** is a synchronous fan-out of ``(fn, arg)`` tasks over the
-  workers, with results restored to submission order — the same
-  deterministic-merge contract the per-run pools had;
+  workers, with results restored to submission order (deterministic
+  merge);
+* :func:`run_calls` is the one place that decides *where* a batch of
+  calls runs — on the pool, or in-process as the fallback;
 * **affinity** pins all tasks that share a key to one worker in FIFO
   order, which is what lets a serve session keep cumulative rack state
   in a single worker across commands;
@@ -48,6 +50,7 @@ import queue as queue_mod
 import threading
 import time
 import traceback
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -390,6 +393,34 @@ def get_pool(max_workers: Optional[int] = None) -> WorkerPool:
     return _shared_pool
 
 
+def run_calls(calls: Sequence[PoolCall], jobs: int) -> List[object]:
+    """Run ``calls``; results in submission order.
+
+    The one place that decides where parallel work runs. With
+    ``jobs > 1`` the calls fan out over the shared persistent pool (grown
+    to at most ``jobs`` workers, never more than there are calls). They
+    run in-process, in order, when ``jobs <= 1`` or inside a pool worker
+    (pools do not nest); and in-process with one :class:`RuntimeWarning`
+    when they do not pickle or the dispatch fails with
+    :class:`WorkerPoolError` — same results, no parallelism.
+    """
+    calls = list(calls)
+    if jobs <= 1 or not calls or in_worker():
+        return [call.fn(call.arg) for call in calls]
+    try:
+        pickle.dumps([(call.fn, call.arg) for call in calls])
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        reason = f"calls are not picklable ({exc})"
+    else:
+        try:
+            return get_pool(min(jobs, len(calls))).dispatch(calls)
+        except WorkerPoolError as exc:
+            reason = f"worker pool dispatch failed ({exc})"
+    warnings.warn(f"{reason}; running in-process", RuntimeWarning,
+                  stacklevel=2)
+    return [call.fn(call.arg) for call in calls]
+
+
 def shutdown_pool() -> None:
     """Tear down the shared pool (tests; atexit)."""
     global _shared_pool
@@ -406,5 +437,6 @@ __all__ = [
     "default_worker_count",
     "get_pool",
     "in_worker",
+    "run_calls",
     "shutdown_pool",
 ]

@@ -7,8 +7,8 @@ regimes coexist:
 * **Warm racks** (:func:`rack_for`) — shared, slot-keyed racks for
   stateless-per-dispatch callers (traffic shards). A cache hit calls
   :meth:`DeployedRack.reset_state`, so every dispatch observes a
-  just-deployed rack and results stay byte-identical with the per-run
-  pools; a fingerprint change applies :meth:`DeployedRack.redeploy`
+  just-deployed rack and results stay byte-identical with an in-process
+  replay; a fingerprint change applies :meth:`DeployedRack.redeploy`
   (per-device delta) before the reset instead of rebuilding the rack
   object wholesale. ``runtime.rack_builds{mode=cold|warm|delta}`` counts
   what happened, recorded in the dispatch's scoped registry so the
@@ -168,9 +168,10 @@ class PooledShardTask:
 def run_traffic_shard(task: PooledShardTask) -> Tuple[int, list, dict, float]:
     """Pool entry point: replay this shard's chains on a warm rack.
 
-    Same contract as the per-run ``_run_traffic_shard``: ships back
-    ``(shard index, chain rows, registry dump, replay wall)`` so the
-    parent merges observability state in shard-index order.
+    Ships back ``(shard index, chain rows, registry dump, replay wall)``
+    so the parent (:meth:`TrafficEngine._run_sharded`) merges
+    observability state in shard-index order. A bundle with its payload
+    attached deploys cold in a worker that has not cached it yet.
     """
     import time
 

@@ -1,4 +1,5 @@
-"""Declarative topology specs: validation, round-trip, presets, shims."""
+"""Declarative topology specs: validation, round-trip, presets; the
+legacy constructor shims stay deleted."""
 
 import json
 
@@ -178,31 +179,22 @@ class TestPresets:
 
 
 class TestLegacyShims:
-    def test_default_testbed_warns_once(self):
+    @pytest.mark.parametrize("name", ("default_testbed",
+                                      "multi_server_testbed"))
+    def test_shim_is_gone(self, name):
+        import repro
+        import repro.hw
         from repro.hw import topology as legacy
 
-        legacy._reset_topology_deprecations()
-        with pytest.warns(DeprecationWarning, match="default_testbed"):
-            shimmed = legacy.default_testbed()
-        # second call is silent (warn-once)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            legacy.default_testbed()
-        # the shim delegates to the spec builder: identical shape
-        fresh = topology_for("paper-testbed").build()
-        assert shimmed.switch.name == fresh.switch.name
-        assert [s.name for s in shimmed.servers] == \
-            [s.name for s in fresh.servers]
-        legacy._reset_topology_deprecations()
+        for module in (legacy, repro.hw, repro):
+            assert not hasattr(module, name), (
+                f"{name}() was removed; build topologies from a "
+                "TopologySpec (topology_for / RackSpec) instead"
+            )
 
-    def test_multi_server_testbed_warns_and_delegates(self):
+    def test_deprecation_machinery_is_gone(self):
         from repro.hw import topology as legacy
 
-        legacy._reset_topology_deprecations()
-        with pytest.warns(DeprecationWarning, match="multi_server_testbed"):
-            shimmed = legacy.multi_server_testbed(3)
-        fresh = topology_for("multi-server", servers=3).build()
-        assert [s.name for s in shimmed.servers] == \
-            [s.name for s in fresh.servers]
-        legacy._reset_topology_deprecations()
+        for leftover in ("_WARNED", "_warn_once",
+                         "_reset_topology_deprecations"):
+            assert not hasattr(legacy, leftover)

@@ -1,11 +1,10 @@
 """Pool-reuse equivalence: the persistent runtime must be invisible.
 
-The satellite contract for the worker runtime: a sharded traffic replay
-produces a byte-identical :class:`~repro.sim.traffic.TrafficReport`
-whether it runs (a) serially, (b) on a throwaway per-run pool, or
-(c) on the persistent pool reused across consecutive phases — and
-(d) a redeploy (artifact fingerprint change) must invalidate or
-delta-update the warm rack, never reuse it stale.
+The contract for the worker runtime: a sharded traffic replay produces a
+byte-identical :class:`~repro.sim.traffic.TrafficReport` whether it runs
+(a) serially or (b) on the persistent pool reused across consecutive
+phases — and (c) a redeploy (artifact fingerprint change) must
+invalidate or delta-update the warm rack, never reuse it stale.
 """
 
 import pytest
@@ -41,13 +40,13 @@ def fresh_pool():
     shutdown_pool()
 
 
-def _replay(spec_text, slos, *, shards, pool, vectorized=True):
+def _replay(spec_text, slos, *, shards, vectorized=True):
     registry = MetricsRegistry()
     report = run_traffic(
         TrafficSpec(
             spec_text=spec_text, slos=slos,
             packets_per_chain=192, flows_per_chain=16, batch_size=32,
-            vectorized=vectorized, shards=shards, pool=pool,
+            vectorized=vectorized, shards=shards,
         ),
         registry=registry,
     )
@@ -62,22 +61,21 @@ def _rack_builds(registry):
     }
 
 
-def test_serial_per_run_and_persistent_pools_agree():
-    serial, _ = _replay(SPEC_A, SLOS_A, shards=1, pool="per-run")
-    per_run, per_run_reg = _replay(SPEC_A, SLOS_A, shards=2, pool="per-run")
-    persistent, keep_reg = _replay(SPEC_A, SLOS_A, shards=2, pool="keep")
-    assert serial == per_run == persistent
-    # the per-run pool never touches the warm-rack cache
-    assert _rack_builds(per_run_reg) == {}
+def test_serial_and_persistent_pools_agree():
+    serial, serial_reg = _replay(SPEC_A, SLOS_A, shards=1)
+    persistent, keep_reg = _replay(SPEC_A, SLOS_A, shards=2)
+    assert serial == persistent
+    # the serial replay never touches the warm-rack cache
+    assert _rack_builds(serial_reg) == {}
     # the persistent pool deployed at least one rack cold
     assert _rack_builds(keep_reg).get("cold", 0) >= 1
 
 
 def test_persistent_pool_reused_across_three_phases():
-    serial, _ = _replay(SPEC_A, SLOS_A, shards=1, pool="per-run")
+    serial, _ = _replay(SPEC_A, SLOS_A, shards=1)
     reports, warm_total = [], 0
     for _phase in range(3):
-        report, registry = _replay(SPEC_A, SLOS_A, shards=2, pool="keep")
+        report, registry = _replay(SPEC_A, SLOS_A, shards=2)
         reports.append(report)
         warm_total += _rack_builds(registry).get("warm", 0)
     assert all(report == serial for report in reports)
@@ -86,20 +84,20 @@ def test_persistent_pool_reused_across_three_phases():
 
 
 def test_scalar_path_agrees_too():
-    serial, _ = _replay(SPEC_A, SLOS_A, shards=1, pool="per-run",
+    serial, _ = _replay(SPEC_A, SLOS_A, shards=1,
                         vectorized=False)
-    persistent, _ = _replay(SPEC_A, SLOS_A, shards=2, pool="keep",
+    persistent, _ = _replay(SPEC_A, SLOS_A, shards=2,
                             vectorized=False)
     assert serial == persistent
 
 
 def test_redeploy_invalidates_warm_rack():
     # warm the pool's racks on spec A ...
-    _replay(SPEC_A, SLOS_A, shards=2, pool="keep")
+    _replay(SPEC_A, SLOS_A, shards=2)
     # ... then replay spec B (different artifacts, same chain names):
     # the cached rack must be delta-redeployed, not reused stale
-    pooled_b, registry_b = _replay(SPEC_B, SLOS_B, shards=2, pool="keep")
-    serial_b, _ = _replay(SPEC_B, SLOS_B, shards=1, pool="per-run")
+    pooled_b, registry_b = _replay(SPEC_B, SLOS_B, shards=2)
+    serial_b, _ = _replay(SPEC_B, SLOS_B, shards=1)
     assert pooled_b == serial_b
     builds = _rack_builds(registry_b)
     # every worker's cached A-rack had to be rebuilt or delta-updated;
@@ -108,8 +106,8 @@ def test_redeploy_invalidates_warm_rack():
     # shards), but never before a delta/cold build on that worker.
     assert builds.get("delta", 0) + builds.get("cold", 0) >= 1
     # and switching back also refuses the stale rack
-    pooled_a, registry_a = _replay(SPEC_A, SLOS_A, shards=2, pool="keep")
-    serial_a, _ = _replay(SPEC_A, SLOS_A, shards=1, pool="per-run")
+    pooled_a, registry_a = _replay(SPEC_A, SLOS_A, shards=2)
+    serial_a, _ = _replay(SPEC_A, SLOS_A, shards=1)
     assert pooled_a == serial_a
     builds_a = _rack_builds(registry_a)
     assert builds_a.get("delta", 0) + builds_a.get("cold", 0) >= 1
@@ -118,13 +116,13 @@ def test_redeploy_invalidates_warm_rack():
 def test_killed_workers_recover():
     """Respawned workers (lost caches, cleared shipped-set) still produce
     identical reports — the payload simply ships again."""
-    serial, _ = _replay(SPEC_A, SLOS_A, shards=1, pool="per-run")
-    first, _ = _replay(SPEC_A, SLOS_A, shards=2, pool="keep")
+    serial, _ = _replay(SPEC_A, SLOS_A, shards=1)
+    first, _ = _replay(SPEC_A, SLOS_A, shards=2)
     pool = get_pool()
     for proc in list(pool._procs):
         proc.terminate()
         proc.join(timeout=5.0)
-    second, _ = _replay(SPEC_A, SLOS_A, shards=2, pool="keep")
+    second, _ = _replay(SPEC_A, SLOS_A, shards=2)
     assert first == second == serial
 
 
@@ -137,13 +135,13 @@ def test_stale_artifact_retry_reships_payload():
     from repro.runtime.rackcache import bundle_fingerprint
     from repro.sim.traffic import TrafficEngine
 
-    serial, _ = _replay(SPEC_A, SLOS_A, shards=1, pool="per-run")
+    serial, _ = _replay(SPEC_A, SLOS_A, shards=1)
     registry = MetricsRegistry()
     engine = TrafficEngine.from_spec(
         TrafficSpec(
             spec_text=SPEC_A, slos=SLOS_A,
             packets_per_chain=192, flows_per_chain=16, batch_size=32,
-            vectorized=True, shards=2, pool="keep",
+            vectorized=True, shards=2,
         ),
         registry=registry,
     )
