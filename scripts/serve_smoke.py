@@ -7,12 +7,15 @@ invariant: the recovered run's final report is byte-identical to an
 uninterrupted run's. This is the process-level counterpart of
 ``tests/serve/test_crash_recovery.py`` (which crashes in-process) —
 here the kill is a genuine ``SIGKILL`` against a separate interpreter.
+Every daemon must also run without child processes: the rack lives in
+the daemon process, not in a worker pool.
 
 Run from the repo root:
 
     PYTHONPATH=src python scripts/serve_smoke.py
 """
 
+import glob
 import json
 import os
 import signal
@@ -60,7 +63,22 @@ def start_daemon(state_dir: str, spec_path: str):
         proc.kill()
         rest = proc.stdout.read()
         raise SystemExit(f"daemon never became ready: {line!r}\n{rest}")
+    assert_no_children(proc)
     return proc, line[len(prefix):].strip()
+
+
+def assert_no_children(proc):
+    """The daemon owns its rack in-process, so it forks no workers."""
+    children = []
+    for path in glob.glob(f"/proc/{proc.pid}/task/*/children"):
+        with open(path) as fh:
+            children.extend(fh.read().split())
+    if children:
+        proc.kill()
+        raise SystemExit(
+            f"daemon {proc.pid} has child processes {children}: "
+            "the rack must live in the daemon process"
+        )
 
 
 def request(url: str, payload=None):

@@ -322,11 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--checkpoint-every", type=int, default=8,
                            help="checkpoint the rack every N applied "
                                 "commands (0: only at graceful shutdown)")
-    serve_cmd.add_argument("--pool", choices=("keep", "per-run"),
-                           default="keep",
-                           help="rack execution: 'keep' hosts the live "
-                                "rack in a persistent worker-pool "
-                                "session, 'per-run' keeps it in-process")
     serve_cmd.add_argument("--json", action="store_true",
                            help="emit the final report as JSON at exit")
     serve_cmd.add_argument("--out", default=None, metavar="FILE",
@@ -871,7 +866,6 @@ def cmd_serve(args) -> int:
         with_smartnic=args.smartnic,
         with_openflow=args.openflow,
         servers=args.servers,
-        pool=args.pool,
         queueing=args.queueing,
         objective=args.objective,
     )

@@ -1,8 +1,8 @@
 """Persistent dataplane worker runtime.
 
 One process-wide :class:`WorkerPool` shared by every parallel caller
-(traffic shards, experiment sweeps, chaos/lifecycle replicas, the serve
-daemon), with worker-side warm-rack caching keyed by artifact fingerprint
+(traffic shards, experiment sweeps, chaos/lifecycle replicas, multi-rack
+solves), with worker-side warm-rack caching keyed by artifact fingerprint
 and zero-copy shared-memory transport for columnar payloads.
 """
 
@@ -18,12 +18,10 @@ from repro.runtime.pool import (
 from repro.runtime.rackcache import (
     ArtifactBundle,
     PooledShardTask,
-    SessionTask,
     StaleArtifactsError,
     bundle_fingerprint,
     rack_for,
     run_traffic_shard,
-    session_call,
 )
 from repro.runtime.shm import ShmArrays
 
@@ -31,7 +29,6 @@ __all__ = [
     "ArtifactBundle",
     "PoolCall",
     "PooledShardTask",
-    "SessionTask",
     "ShmArrays",
     "StaleArtifactsError",
     "WorkerPool",
@@ -42,6 +39,5 @@ __all__ = [
     "rack_for",
     "run_calls",
     "run_traffic_shard",
-    "session_call",
     "shutdown_pool",
 ]

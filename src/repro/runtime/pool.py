@@ -1,7 +1,7 @@
 """The persistent worker pool: the one parallel backend.
 
-Traffic shards, sweep cells, chaos/lifecycle replica cross-checks,
-multi-rack per-rack solves and the serve daemon's sessions all run here.
+Traffic shards, sweep cells, chaos/lifecycle replica cross-checks and
+multi-rack per-rack solves all run here.
 A throwaway pool per run would pay process spawn, task re-pickling and a
 from-scratch rack rebuild in every worker on every call — the overhead
 that dominates short, repeated phases under a long-running control
@@ -14,8 +14,7 @@ for the lifetime of the parent:
 * :func:`run_calls` is the one place that decides *where* a batch of
   calls runs — on the pool, or in-process as the fallback;
 * **affinity** pins all tasks that share a key to one worker in FIFO
-  order, which is what lets a serve session keep cumulative rack state
-  in a single worker across commands;
+  order;
 * **payload planning** (:meth:`plan` + :meth:`needs_payload`) lets
   callers ship a heavy artifact bundle to each worker exactly once and
   send only its fingerprint afterwards — workers cache the bundle and
@@ -105,8 +104,9 @@ def _worker_main(index: int, parent_pid: int, task_q, result_conn) -> None:
             continue
         if item is None:
             return
-        job_id, fn, arg = item
+        job_id, task = item
         try:
+            fn, arg = pickle.loads(task)
             result = fn(arg)
             # Pickle eagerly so serialization failures surface as this
             # task's error instead of corrupting the result stream.
@@ -132,16 +132,6 @@ class PoolCall:
     #: explicit worker index (from :meth:`WorkerPool.plan`); overrides
     #: affinity and round-robin.
     worker: Optional[int] = None
-
-
-class _RemoteTaskError(Exception):
-    """Internal wrapper for a worker-side exception (re-raised typed)."""
-
-    def __init__(self, name: str, message: str, trace: str):
-        super().__init__(f"{name}: {message}")
-        self.name = name
-        self.message = message
-        self.trace = trace
 
 
 class WorkerPool:
@@ -285,16 +275,29 @@ class WorkerPool:
         spread round-robin. With ``return_exceptions`` worker-side errors
         come back as :class:`WorkerPoolError` instances in the result
         slots instead of raising on the first failure.
+
+        Every task is pickled here, before anything is enqueued: one that
+        does not pickle raises :class:`WorkerPoolError` at once (a queue's
+        feeder thread would only print the error and drop the task,
+        leaving the dispatch waiting for it).
         """
         if not calls:
             return []
         registry = get_registry()
         kind = calls[0].fn.__name__
         started = time.perf_counter()
+        tasks = []
+        for slot, call in enumerate(calls):
+            try:
+                tasks.append(pickle.dumps((call.fn, call.arg)))
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                raise WorkerPoolError(
+                    f"task {slot} ({kind}) is not picklable: {exc}"
+                ) from exc
         with self._lock:
             self._ensure_workers()
             jobs: Dict[int, int] = {}  # job id -> result slot
-            for slot, call in enumerate(calls):
+            for slot, (call, task) in enumerate(zip(calls, tasks)):
                 if call.worker is not None:
                     index = call.worker % len(self._procs)
                 elif call.affinity is not None:
@@ -305,7 +308,7 @@ class WorkerPool:
                 job_id = self._next_job
                 self._next_job += 1
                 jobs[job_id] = slot
-                self._task_qs[index].put((job_id, call.fn, call.arg))
+                self._task_qs[index].put((job_id, task))
             registry.counter("runtime.tasks", kind=kind).inc(len(calls))
             results: List[object] = [None] * len(calls)
             outcomes = self._collect(jobs, results, timeout)
@@ -401,23 +404,19 @@ def run_calls(calls: Sequence[PoolCall], jobs: int) -> List[object]:
     to at most ``jobs`` workers, never more than there are calls). They
     run in-process, in order, when ``jobs <= 1`` or inside a pool worker
     (pools do not nest); and in-process with one :class:`RuntimeWarning`
-    when they do not pickle or the dispatch fails with
-    :class:`WorkerPoolError` — same results, no parallelism.
+    when the dispatch fails with :class:`WorkerPoolError` (which is also
+    how calls that do not pickle fail) — same results, no parallelism.
     """
     calls = list(calls)
     if jobs <= 1 or not calls or in_worker():
         return [call.fn(call.arg) for call in calls]
     try:
-        pickle.dumps([(call.fn, call.arg) for call in calls])
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        reason = f"calls are not picklable ({exc})"
-    else:
-        try:
-            return get_pool(min(jobs, len(calls))).dispatch(calls)
-        except WorkerPoolError as exc:
-            reason = f"worker pool dispatch failed ({exc})"
-    warnings.warn(f"{reason}; running in-process", RuntimeWarning,
-                  stacklevel=2)
+        return get_pool(min(jobs, len(calls))).dispatch(calls)
+    except WorkerPoolError as exc:
+        warnings.warn(
+            f"worker pool dispatch failed ({exc}); running in-process",
+            RuntimeWarning, stacklevel=2,
+        )
     return [call.fn(call.arg) for call in calls]
 
 

@@ -99,11 +99,12 @@ class ServeConfig:
     with_smartnic: bool = False
     with_openflow: bool = False
     servers: int = 0
-    #: rack-execution policy: ``"keep"`` hosts the live rack in a
-    #: persistent worker-pool session (warm across commands), ``"per-run"``
-    #: keeps it in-process. Part of the recovery contract because the
-    #: checkpoint layout differs (pooled cores carry fetched rack bytes).
-    pool: str = "keep"
+    #: accepted and validated but ignored: the rack always lives in the
+    #: daemon process. Kept only because the benchmark harness
+    #: (``perfbench/``) still passes it, and removed with that use. Not
+    #: part of the recovery contract, so state dirs written with either
+    #: value still recover.
+    pool: str = field(default="per-run", compare=False)
     #: queueing delay model stamped on every forwarded packet
     #: (see :class:`repro.sim.measurement.QueueingModel`). Part of the
     #: recovery contract: replay under a different model would stamp
@@ -161,7 +162,6 @@ class ServeConfig:
             "with_smartnic": self.with_smartnic,
             "with_openflow": self.with_openflow,
             "servers": self.servers,
-            "pool": self.pool,
             "queueing": self.queueing,
             "objective": self.objective,
         }
@@ -209,7 +209,7 @@ class ServeConfig:
                 with_smartnic=bool(payload.get("with_smartnic", False)),
                 with_openflow=bool(payload.get("with_openflow", False)),
                 servers=int(payload.get("servers", 0)),
-                pool=str(payload.get("pool", "keep")),
+                pool=str(payload.get("pool", "per-run")),
                 queueing=str(payload.get("queueing", "none")),
                 objective=str(payload.get("objective", "throughput")),
             )
@@ -400,6 +400,12 @@ class ServeDaemon:
         self.phases: List[PhaseReport] = []
         self.recovered = False
         self._replaying = False
+        #: why the daemon stopped accepting mutations ("" while writable);
+        #: see :meth:`_apply_mutation`.
+        self.read_only = ""
+        #: the digest of the last journaled state, which is what a
+        #: read-only daemon reports (its core may be ahead of the journal).
+        self._durable_digest = ""
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional["asyncio.Queue[_QueueItem]"] = None
@@ -437,7 +443,6 @@ class ServeDaemon:
             batch_size=self.config.batch_size,
             seed=self.config.seed,
             registry=self.registry,
-            pool=self.config.pool,
             queueing=self.config.queueing,
             objective=self.config.objective,
         )
@@ -457,9 +462,6 @@ class ServeDaemon:
             self.decisions = list(checkpoint["decisions"])
             self.phases = list(checkpoint["phases"])
             self.registry = self.core.obs
-            # a pooled core's rack was fetched into the checkpoint; push
-            # it back into a fresh worker session before journal replay
-            self.core.reattach()
         else:
             self._bootstrap()
         # replay the journal suffix through the deterministic core
@@ -480,6 +482,7 @@ class ServeDaemon:
         finally:
             self._replaying = False
         self.recovered = had_state
+        self._durable_digest = self.core.state_digest()
 
     async def start(self) -> None:
         """Persist/verify config, recover or bootstrap, start the worker."""
@@ -530,6 +533,8 @@ class ServeDaemon:
                 future.set_result(outcome)
 
     def _digest(self) -> str:
+        if self.read_only:
+            return self._durable_digest
         return self.core.state_digest() if self.core is not None else ""
 
     def _handle(self, command: Command) -> CommandOutcome:
@@ -550,60 +555,99 @@ class ServeDaemon:
     def _apply_mutation(self, command: Command) -> CommandOutcome:
         """Apply one mutating command: advance the core, run its traffic
         phase, journal, maybe checkpoint, acknowledge. Also the journal
-        replay path (which skips the journal/checkpoint writes)."""
+        replay path (which skips the journal/checkpoint writes).
+
+        The core moves before the journal append, so a failure between
+        the two (the core itself, the traffic phase, the append or its
+        fsync) leaves the core ahead of anything recovery can rebuild.
+        The daemon then goes read-only: that command and every later
+        mutation get a typed ``error`` outcome naming the cause, and a
+        restart recovers the last journaled seq. ``seq`` and the report
+        history only advance once the command is durable.
+        """
+        if self.read_only:
+            return self._refused(
+                command,
+                f"daemon is read-only since a failed mutation "
+                f"({self.read_only}); restart it to recover seq {self.seq}",
+            )
         seq = self.seq + 1
+        record = {"seq": seq, "command": command.as_dict()}
         decision: Optional[AdmissionDecision] = None
-        if isinstance(command, InjectFault):
-            try:
+        try:
+            if isinstance(command, InjectFault):
                 self.core.apply_fault(
                     command.action, command.target, command.severity
                 )
-            except (FaultInjectionError, TopologyError) as exc:
-                # dynamic validation failure: no state changed, no seq
-                # consumed, nothing journaled
-                return CommandOutcome(
-                    seq=self.seq, kind=command.kind,
-                    status=STATUS_INVALID, error=str(exc),
-                    digest=self._digest(),
-                )
-            status = STATUS_APPLIED
-        else:
-            decision = self.core.process(command.to_event(at=seq))
-            status = STATUS_APPLIED if decision.accepted \
-                else STATUS_REJECTED
+            else:
+                decision = self.core.process(command.to_event(at=seq))
+            phase = self.core.run_phase(
+                f"s{seq}:{command.describe()}",
+                self.config.packets_per_phase,
+                index=len(self.phases),
+                start_packet=sum(
+                    row.injected for ph in self.phases for row in ph.chains
+                ),
+            )
+            if not self._replaying:
+                self.journal.append(seq, record["command"])
+        except (FaultInjectionError, TopologyError) as exc:
+            # fault-probe validation runs before any state change: no
+            # seq consumed, nothing journaled
+            return CommandOutcome(
+                seq=self.seq, kind=command.kind,
+                status=STATUS_INVALID, error=str(exc),
+                digest=self._digest(),
+            )
+        except Exception as exc:
+            if self._replaying:
+                raise
+            self.read_only = f"s{seq} {type(exc).__name__}: {exc}"
+            self.registry.counter("serve.read_only").inc()
+            return self._refused(
+                command,
+                f"{type(exc).__name__}: {exc} (daemon is now read-only; "
+                f"restart it to recover seq {self.seq})",
+            )
         # rejections consume a sequence number and are journaled too:
         # the rejection decision is part of the report the recovery
         # invariant reproduces.
         self.seq = seq
-        record = {"seq": seq, "command": command.as_dict()}
         self.commands.append(record)
         if decision is not None:
             self.decisions.append(decision)
-        self.phases.append(self.core.run_phase(
-            f"s{seq}:{command.describe()}",
-            self.config.packets_per_phase,
-            index=len(self.phases),
-            start_packet=sum(
-                row.injected for ph in self.phases for row in ph.chains
-            ),
-        ))
-        if not self._replaying:
-            self.journal.append(seq, record["command"])
-            every = self.config.checkpoint_every
-            if every and seq % every == 0:
+        self.phases.append(phase)
+        self._durable_digest = digest = self.core.state_digest()
+        every = self.config.checkpoint_every
+        if not self._replaying and every and seq % every == 0:
+            try:
                 self.checkpoint()
+            except Exception:  # noqa: BLE001 — the ack stands
+                # the command is journaled: recovery replays it from the
+                # previous checkpoint, which the atomic save left intact
+                self.registry.counter("serve.checkpoint.failures").inc()
+        status = STATUS_APPLIED
+        if decision is not None and not decision.accepted:
+            status = STATUS_REJECTED
         return CommandOutcome(
             seq=seq, kind=command.kind, status=status,
-            decision=decision, digest=self._digest(),
+            decision=decision, digest=digest,
+        )
+
+    def _refused(self, command: Command, error: str) -> CommandOutcome:
+        return CommandOutcome(
+            seq=self.seq, kind=command.kind, status=STATUS_ERROR,
+            error=error, digest=self._digest(),
         )
 
     # -- durability ----------------------------------------------------------
 
     def checkpoint(self) -> None:
         """Pickle the full daemon state (core incl. rack + registry,
-        report history) atomically. A pooled core first fetches its rack
-        out of the worker session so the checkpoint stays self-contained."""
-        self.core.prepare_checkpoint()
+        report history) atomically. A read-only daemon's core is ahead of
+        its journal, so it is never persisted."""
+        if self.read_only:
+            return
         self.checkpoints.save({
             "seq": self.seq,
             "core": self.core,

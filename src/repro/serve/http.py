@@ -10,7 +10,7 @@ of its own — it parses, submits, and maps
 
 Routes::
 
-    GET  /v1/health    liveness + journal head + state digest
+    GET  /v1/health    liveness + journal head + state digest + read-only
     GET  /v1/state     consistent snapshot (serialized with mutations)
     GET  /v1/schema    JSON schemas for every command kind + the outcome
     GET  /v1/metrics   repro.obs registry snapshot (JSON)
@@ -97,6 +97,8 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
                 "seq": self.daemon.seq,
                 "digest": self.daemon._digest(),
                 "recovered": self.daemon.recovered,
+                "read_only": bool(self.daemon.read_only),
+                "read_only_reason": self.daemon.read_only,
             })
         elif self.path == "/v1/state":
             outcome = self._submit(Snapshot())

@@ -8,7 +8,10 @@ invariant a tenant can rely on is therefore *acknowledged ⇒ journaled ⇒
 recovered*: a crash can lose at most commands that were still in flight
 (never acknowledged), and recovery replays exactly the acknowledged
 prefix. Because the core is deterministic given (config, command
-sequence), replaying that prefix reconstructs a byte-identical rack.
+sequence), replaying that prefix reconstructs a byte-identical rack. A
+failed append truncates the journal back to its previous length, and the
+daemon, whose core is then ahead of the journal, goes read-only until a
+restart.
 
 * :class:`Journal` — append-only JSONL, one record per applied mutating
   command: ``{"seq": N, "command": {...}}`` with sorted keys. Records
@@ -27,6 +30,7 @@ sequence), replaying that prefix reconstructs a byte-identical rack.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pickle
@@ -36,6 +40,12 @@ from typing import Iterator, List, Optional
 from repro.exceptions import ServeError
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
 class Journal:
     """Append-only, fsync'd JSONL command log."""
 
@@ -43,15 +53,29 @@ class Journal:
         self.path = Path(path)
 
     def append(self, seq: int, command: dict) -> None:
-        """Durably append one applied command (fsync before return)."""
+        """Durably append one applied command (fsync before return).
+
+        On any failure the file is truncated back to its previous length
+        (best effort) before the error propagates, so a half-written or
+        unsynced record never turns into an interior journal entry.
+        """
         record = json.dumps(
             {"seq": seq, "command": command}, sort_keys=True
         )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(record + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                     0o644)
+        try:
+            start = os.lseek(fd, 0, os.SEEK_END)
+            try:
+                _write_all(fd, (record + "\n").encode())
+                os.fsync(fd)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, start)
+                raise
+        finally:
+            os.close(fd)
 
     def records(self, after: int = 0) -> Iterator[dict]:
         """Yield journal records with ``seq > after``, in order.
@@ -116,13 +140,21 @@ class CheckpointStore:
         previous checkpoint readable."""
         if "seq" not in state:
             raise ServeError("checkpoint state must carry 'seq'")
+        data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            try:
+                _write_all(fd, data)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         # persist the rename itself
         dir_fd = os.open(self.path.parent, os.O_RDONLY)
         try:

@@ -341,11 +341,19 @@ class TrafficEngine:
         #: chain name -> (chain object, synthesized flow templates, their
         #: shared :class:`TemplateSet`); the chain object guards against a
         #: redeployed chain of the same name, and the one set per chain
-        #: keys the rack's compiled route programs across batches.
+        #: keys the rack's compiled route programs across batches. Holds
+        #: only chains of the current placement (pruned on each miss).
         self._flows: Dict[str, tuple] = {}
         #: identity-keyed (parts, payload, fingerprint) memo for
         #: :meth:`_pooled_bundle`.
         self._bundle_cache: Optional[tuple] = None
+
+    def __getstate__(self) -> dict:
+        # flow templates are a pure function of (chain, index): rebuilt on
+        # demand rather than carried in every serve checkpoint
+        state = self.__dict__.copy()
+        state["_flows"] = {}
+        return state
 
     @classmethod
     def from_spec(cls, spec: TrafficSpec, *,
@@ -399,6 +407,9 @@ class TrafficEngine:
                                                      TemplateSet]:
         cached = self._flows.get(cp.name)
         if cached is None or cached[0] is not cp.chain:
+            live = {chain.name for chain in self.placement.chains}
+            for name in [name for name in self._flows if name not in live]:
+                del self._flows[name]
             flows = [
                 _chain_packet(cp.chain, index)
                 for index in range(self.flows_per_chain)

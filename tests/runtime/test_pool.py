@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ def test_respawn_clears_shipped_payloads(pool):
     pool._procs[workers[0]].join(timeout=5.0)
     pool.dispatch([PoolCall(_square, 2)])  # triggers respawn
     assert pool.needs_payload(workers[0], "fp-1") is True
+
+
+def test_unpicklable_task_raises_before_dispatch(pool):
+    started = time.monotonic()
+    with pytest.raises(WorkerPoolError, match="not picklable"):
+        pool.dispatch([PoolCall(len, lambda: 1)], timeout=5)
+    assert time.monotonic() - started < 1.0
+    # nothing was enqueued: the next call is served normally
+    assert pool.call(_square, 9) == 81
 
 
 def test_nested_pools_forbidden(pool):

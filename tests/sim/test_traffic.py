@@ -1,5 +1,8 @@
 """TrafficEngine: high-volume replay through the batched fast path."""
 
+import io
+import pickle
+
 import pytest
 
 from repro.chain.graph import chains_from_spec
@@ -9,6 +12,7 @@ from repro.hw.spec import TopologySpec
 from repro.metacompiler.compiler import MetaCompiler
 from repro.obs import MetricsRegistry
 from repro.profiles.defaults import default_profiles
+from repro.sim.admission import AdmissionCore, ChainEvent
 from repro.sim.runtime import DeployedRack
 from repro.sim.traffic import TrafficEngine
 from repro.units import gbps
@@ -267,3 +271,49 @@ def test_traffic_cli_vectorized_sharded(tmp_path, capsys):
     assert code == 0
     assert "total" in out
     assert "shards: 2" in out
+
+
+class _OwnedElsewhere(pickle.Pickler):
+    """Pickles an engine without the rack and placement its core owns."""
+
+    def __init__(self, buffer, owned):
+        super().__init__(buffer)
+        self.owned = {id(obj): name for name, obj in owned.items()}
+
+    def persistent_id(self, obj):
+        return self.owned.get(id(obj))
+
+
+def test_pickled_engine_stays_flat_across_arrive_depart():
+    """Flow templates are a pure function of (chain, index): the memo is
+    left out of the pickled state, and live it holds only placed chains."""
+    slo = SLO(t_min=gbps(1), t_max=gbps(20))
+    core = AdmissionCore(
+        chains_from_spec("chain a: ACL -> IPv4Fwd\n"
+                         "chain b: BPF -> NAT -> IPv4Fwd", slos=[slo, slo]),
+        flows_per_chain=8, batch_size=8, registry=MetricsRegistry(),
+    )
+    core.bootstrap()
+    core.run_phase("initial", 16, index=0)
+
+    def engine_bytes():
+        buffer = io.BytesIO()
+        _OwnedElsewhere(buffer, {
+            "rack": core.rack, "placement": core.traffic.placement,
+        }).dump(core.traffic)
+        return len(buffer.getvalue())
+
+    def arrive(at, name):
+        return ChainEvent(at=at, action="arrive", chain=name,
+                          spec=f"chain {name}: Monitor -> IPv4Fwd",
+                          t_min_mbps=gbps(1), t_max_mbps=gbps(20))
+
+    before = engine_bytes()
+    events = [arrive(1, "c"), ChainEvent(at=2, action="depart", chain="c")]
+    for event in events:
+        assert core.process(event).accepted
+        core.run_phase(event.describe(), 16, index=event.at)
+    assert engine_bytes() == before
+    assert core.process(arrive(3, "d")).accepted
+    core.run_phase("d", 16, index=3)
+    assert set(core.traffic._flows) == {"a", "b", "d"}
